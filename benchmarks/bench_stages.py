@@ -144,6 +144,17 @@ def _run_grid(datasets, nodes, workers, repeats, arena, spill_dir=None, trace=Fa
     return cells
 
 
+def load_baseline_cells(path: str) -> dict[str, float]:
+    """Per-cell sequential seconds of a baseline record.
+
+    An empty path, or one that names no file, means no baseline: ``{}``.
+    """
+    if not path or not Path(path).is_file():
+        return {}
+    baseline = json.loads(Path(path).read_text())
+    return {row["cell"]: row["sequential_s"] for row in baseline.get("cells", [])}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--out", default="BENCH_stages.json", help="output JSON path")
@@ -155,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--baseline",
         default="BENCH_parallel.json",
-        help="pre-refactor benchmark JSON to compare against (skipped if absent)",
+        help="pre-refactor benchmark JSON to compare against (skipped if empty or absent)",
     )
     ap.add_argument("--workers", type=int, default=0, help="parallel worker count (0 = auto)")
     ap.add_argument("--nodes", type=int, default=16, help="simulated Summit node count")
@@ -204,11 +215,7 @@ def main(argv: list[str] | None = None) -> int:
             substrates=substrates,
         )
 
-    baseline_cells = {}
-    baseline_path = Path(args.baseline)
-    if baseline_path.exists():
-        baseline = json.loads(baseline_path.read_text())
-        baseline_cells = {row["cell"]: row["sequential_s"] for row in baseline.get("cells", [])}
+    baseline_cells = load_baseline_cells(args.baseline)
 
     rows = []
     for key, (best, results) in cells.items():
@@ -292,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         matched_total = sum(r["sequential_s"] for r in rows if "baseline_sequential_s" in r)
         ratio = matched_total / base_total if base_total else float("inf")
         payload["baseline"] = {
-            "path": str(baseline_path),
+            "path": args.baseline,
             "sequential_total_s": round(base_total, 4),
             "ratio": round(ratio, 3),
             "noise_band": list(NOISE_BAND),

@@ -156,10 +156,17 @@ class MinimizerOrdering:
         codes, most significant base first).  Returns uint64 ranks under this
         ordering.  The default implementation remaps each 2-bit field through
         ``remap``; subclasses add their bias.
+
+        When the remap is an XOR (``remap[c] == c ^ remap[0]`` for every c,
+        as for every shipped ordering: identity is XOR 0, random-base XOR 1),
+        all m fields flip at once with one XOR against ``remap[0]`` repeated
+        in every field.  Other remaps go field by field.
         """
         vals = np.asarray(mmer_values, dtype=np.uint64)
-        if self._remap_is_identity():
-            ranks = vals.copy()
+        flip = self._xor_remap()
+        if flip is not None:
+            field_mask = (1 << (2 * m)) - 1
+            ranks = vals ^ np.uint64((flip * 0x5555_5555_5555_5555) & field_mask)
         else:
             ranks = np.zeros_like(vals)
             for i in range(m):
@@ -179,8 +186,12 @@ class MinimizerOrdering:
         """Vectorized bias hook; ``None`` means all-zero."""
         return None
 
-    def _remap_is_identity(self) -> bool:
-        return bool(np.all(self.remap == np.arange(4, dtype=np.uint64)))
+    def _xor_remap(self) -> int | None:
+        """``x`` if ``remap[c] == c ^ x`` for every base code c, else None."""
+        flip = int(self.remap[0])
+        if all(int(self.remap[c]) == c ^ flip for c in range(4)):
+            return flip
+        return None
 
 
 class LexicographicOrdering(MinimizerOrdering):

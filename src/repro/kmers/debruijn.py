@@ -15,12 +15,15 @@ Graphs are ``networkx.DiGraph`` with packed-integer node ids; ``graph.graph
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..dna.encoding import kmer_to_string
 from .spectrum import KmerSpectrum
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["build_debruijn", "unitigs", "DebruijnStats", "graph_stats", "node_string", "edge_string"]
 
@@ -33,6 +36,9 @@ def build_debruijn(spectrum: KmerSpectrum, *, min_count: int = 1) -> nx.DiGraph:
     Vectorized: prefixes/suffixes come from shifts and masks on the packed
     key array, no per-k-mer string work.
     """
+    # Imported here: networkx is a large import that only graph users need.
+    import networkx as nx
+
     if spectrum.k < 2:
         raise ValueError("de Bruijn construction needs k >= 2")
     if min_count < 1:

@@ -10,8 +10,8 @@ Two implementations are provided and cross-checked by the tests:
 * :func:`extract_kmers_scalar` — the obvious per-read Python loop, the
   readable reference;
 * :func:`extract_kmers` — the vectorized version used by the virtual-GPU
-  kernels: strided window views, a shift-or pack over k positions, and a
-  validity mask, all without per-k-mer Python work.
+  kernels: a doubling shift-or pack and a doubling validity mask, both
+  O(n log k) array passes with no per-k-mer Python work.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dna.alphabet import SENTINEL
 from ..dna.encoding import canonical_batch, pack_kmer
 from ..dna.reads import ReadSet
 
-__all__ = ["KmerWindows", "window_values", "extract_kmers", "extract_kmers_scalar"]
+__all__ = ["KmerWindows", "pack_windows", "window_values", "extract_kmers", "extract_kmers_scalar"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,40 @@ class KmerWindows:
         return self.values[self.valid]
 
 
+def pack_windows(safe: np.ndarray, width: int, n: int) -> np.ndarray:
+    """uint64 2-bit pack of ``safe[i:i+width]`` for every ``i < n``, first base highest.
+
+    ``safe`` holds base codes 0..3 and must have at least ``n + width - 1``
+    entries.  Doubling pack: level ``w`` holds the 2w-bit pack of
+    ``safe[i:i+w]``, built in O(log width) full-array passes instead of one
+    shift-or per base; only the levels in width's binary decomposition are
+    kept, and the window is their MSB-first concatenation.  Levels stay
+    uint64: narrower levels pack faster but, below the allocator's mmap
+    threshold, fragment the heap and raised the peak address space of the
+    capped out-of-core probes (``tools/check_spill.py``).
+    """
+    kept = {}
+    level = np.asarray(safe, dtype=np.uint64)
+    w = 1
+    while True:
+        if width & w:
+            kept[w] = level
+        if w * 2 > width:
+            break
+        wider = level[: level.shape[0] - w] << np.uint64(2 * w)
+        wider |= level[w:]
+        level = wider
+        w *= 2
+    blocks = sorted(kept, reverse=True)
+    values = kept[blocks[0]][:n]
+    covered = blocks[0]
+    for b in blocks[1:]:
+        values <<= np.uint64(2 * b)
+        values |= kept[b][covered : covered + n]
+        covered += b
+    return values
+
+
 def window_values(codes: np.ndarray, width: int) -> KmerWindows:
     """Pack every length-``width`` window of ``codes`` into uint64 + validity.
 
@@ -72,27 +105,17 @@ def window_values(codes: np.ndarray, width: int) -> KmerWindows:
         empty64 = np.empty(0, dtype=np.uint64)
         return KmerWindows(k=width, values=empty64, valid=np.empty(0, dtype=bool))
     is_base = codes < SENTINEL
-    safe = np.where(is_base, codes, 0).astype(np.uint64)
-    # Doubling pack: pow2[w][i] holds the 2w-bit pack of codes[i:i+w], built
-    # in O(log width) full-array passes instead of one shift-or per base.
-    # The final window is the MSB-first concatenation of the power-of-two
-    # blocks of width's binary decomposition — bit-for-bit the same value the
-    # per-base shift-or loop produced.
-    pow2 = {1: safe}
+    values = pack_windows(np.where(is_base, codes, 0), width, n)
+    # valid[i] = no invalid base in [i, i+width).  Sliding OR of the
+    # invalid mask by doubling: after the loop bad[i] covers [i, i+w), and
+    # one overlapping combine widens it to [i, i+width).
+    bad = ~is_base
     w = 1
     while w * 2 <= width:
-        prev = pow2[w]
-        pow2[w * 2] = (prev[: prev.shape[0] - w] << np.uint64(2 * w)) | prev[w:]
+        bad = bad[: bad.shape[0] - w] | bad[w:]
         w *= 2
-    blocks = [b for b in sorted(pow2, reverse=True) if width & b]
-    values = pow2[blocks[0]][:n]
-    covered = blocks[0]
-    for b in blocks[1:]:
-        values = (values << np.uint64(2 * b)) | pow2[b][covered : covered + n]
-        covered += b
-    # valid[i] = all bases in [i, i+width) are real; windowed AND via views.
-    valid = sliding_window_view(is_base, width).all(axis=1)
-    return KmerWindows(k=width, values=values, valid=np.ascontiguousarray(valid))
+    valid = ~(bad[:n] | bad[width - w : width - w + n])
+    return KmerWindows(k=width, values=values, valid=valid)
 
 
 def extract_kmers(reads: ReadSet, k: int, *, canonical: bool = False) -> np.ndarray:

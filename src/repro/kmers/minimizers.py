@@ -7,10 +7,12 @@ k-mer's minimizer — adjacent k-mers sharing a minimizer value is precisely
 the condition that lets them merge into one supermer (Section IV-A).
 
 The vectorized path computes all m-mer ranks once, then takes a sliding
-windowed argmin of width ``k - m + 1`` over them, so the whole scan is
-O(n * (k-m)) NumPy work with no Python per-position loop.  A scalar
-reference (:func:`minimizer_scalar`) implements the textbook definition for
-cross-checking.
+window minimum of width ``k - m + 1`` over them by doubling (a sparse
+table: widths 1, 2, 4, ... then one overlapping combine) on packed
+``rank|offset`` keys, so the whole scan is O(n log(k-m)) NumPy work with
+no Python per-position loop and no materialized window matrix.  A scalar
+reference (:func:`minimizer_scalar`) implements the textbook definition
+for cross-checking.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dna.alphabet import MinimizerOrdering, get_ordering
 from ..dna.encoding import string_to_codes
@@ -103,13 +104,7 @@ def minimizers_for_windows(
 
         mvalues = canonical_batch(mvalues, m)
     ranks = ordering.rank_array(mvalues, m)
-    # Sliding argmin of width `span` over the m-mer ranks.  np.argmin takes
-    # the first occurrence on ties; distinct m-mers never tie (ranks are
-    # injective per ordering), but equal m-mers repeated inside one k-mer do
-    # — first occurrence is then the leftmost, matching the scalar scan.
-    rank_windows = sliding_window_view(ranks, span)[:n_k]
-    local_argmin = rank_windows.argmin(axis=1)
-    positions = np.arange(n_k, dtype=np.int64) + local_argmin
+    positions = np.arange(n_k, dtype=np.int64) + _sliding_argmin(ranks, span, n_k)
     minimizer_values = mvalues[positions]
 
     return KmerMinimizers(
@@ -121,6 +116,44 @@ def minimizers_for_windows(
         minimizer_values=minimizer_values,
         minimizer_positions=positions,
     )
+
+
+def _uint_for_bits(bits: int) -> type:
+    """Narrowest unsigned dtype holding ``bits`` bits (``bits <= 64``)."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if bits <= 8 * np.dtype(dtype).itemsize:
+            return dtype
+    return np.uint64
+
+
+def _sliding_argmin(ranks: np.ndarray, span: int, n: int) -> np.ndarray:
+    """Offset in ``[0, span)`` of the leftmost minimum of ``ranks[i:i+span]``, i < n.
+
+    Each entry is one key, ``rank << off_bits | offset``, where the offset
+    counts from the window start i.  Doubling: after the loop ``key[i]`` is
+    the minimum key over ``[i, i+w)``; one overlapping combine of the
+    windows at i and i + span - w then covers ``[i, i+span)``.  A key read
+    from the window at i + s has s added to its offset, so a plain
+    ``minimum`` compares rank first and absolute position second.  Distinct
+    m-mers never tie (ranks are injective per ordering), but an m-mer
+    repeated inside one k-mer does, and the lower position then wins: the
+    first minimum, as in the scalar scan.
+    """
+    off_bits = (span - 1).bit_length()
+    if int(ranks.max()).bit_length() + off_bits > 64:
+        # Shipped orderings stay below 2**(2m+1), which always leaves room
+        # (k <= 32); a custom bias might not.  Dense ranks order the same.
+        ranks = np.unique(ranks, return_inverse=True)[1]
+    dtype = _uint_for_bits(int(ranks.max()).bit_length() + off_bits)
+    key = ranks.astype(dtype) << dtype(off_bits)
+    w = 1
+    while w * 2 <= span:
+        right = key[w:] + dtype(w)
+        key = np.minimum(key[: key.shape[0] - w], right, out=right)
+        w *= 2
+    if w < span:
+        key = np.minimum(key[:n], key[span - w : span - w + n] + dtype(span - w))
+    return (key[:n] & dtype((1 << off_bits) - 1)).astype(np.uint8)
 
 
 def minimizer_scalar(

@@ -33,6 +33,7 @@ import numpy as np
 from ..dna.alphabet import SENTINEL, MinimizerOrdering, get_ordering
 from ..dna.encoding import codes_to_string, string_to_codes
 from ..dna.reads import ReadSet
+from .extract import pack_windows
 from .minimizers import minimizer_scalar, minimizers_for_windows
 
 __all__ = [
@@ -222,8 +223,8 @@ def build_supermers(
 
     Implements Algorithm 2 with the boundary rule documented in the module
     docstring, entirely with array operations: per-position minimizers, a
-    boundary flag, run labelling by cumulative sum, and a masked shift-or
-    pack of each run's bases.
+    boundary flag, run starts and ends from that flag, and one gather per
+    supermer from a doubling pack of the bases.
 
     ``canonical_minimizers=True`` ranks strand-neutral (canonical) m-mers,
     so a k-mer and its reverse complement always carry the same minimizer —
@@ -270,14 +271,13 @@ def build_supermers_with_positions(
         return SupermerBatch.empty(k), np.empty(0, dtype=np.int64)
 
     valid = mins.valid
-    positions = np.arange(n, dtype=np.int64)
-    # Relative k-mer position within the owning read, for window boundaries.
-    # Window positions before the first read offset cannot be valid, and
-    # searchsorted handles interior positions; clip guards the degenerate
-    # empty-reads case.
-    read_idx = np.searchsorted(reads.offsets, positions, side="right") - 1
-    read_idx = np.clip(read_idx, 0, max(len(reads.offsets) - 1, 0))
-    rel = positions - reads.offsets[read_idx]
+    # Relative k-mer position within the owning read, for window boundaries:
+    # every position from one read offset up to the next takes that read's
+    # offset (positions before the first read count from it).
+    offsets = reads.offsets if reads.offsets.size else np.zeros(1, dtype=np.int64)
+    bounds = np.clip(offsets, 0, n)
+    bounds[0] = 0
+    rel = np.arange(n, dtype=np.int64) - np.repeat(offsets, np.diff(bounds, append=n))
 
     prev_valid = np.zeros(n, dtype=bool)
     prev_valid[1:] = valid[:-1]
@@ -286,31 +286,23 @@ def build_supermers_with_positions(
     new_window = (rel % window) == 0
     starts_flag = valid & (new_window | ~prev_valid | ~same_min)
 
-    # Label each valid k-mer position with its supermer id.
-    run_id = np.cumsum(starts_flag) - 1  # valid positions only are meaningful
-    valid_run_id = run_id[valid]
-    n_supermers = int(valid_run_id[-1]) + 1 if valid_run_id.size else 0
-    n_kmers = np.bincount(valid_run_id, minlength=n_supermers).astype(np.int32)
+    # Supermer ends: a run stops where the next position starts a new
+    # supermer or is invalid.
+    start_positions = np.flatnonzero(starts_flag)
+    ends_flag = valid.copy()
+    ends_flag[:-1] &= starts_flag[1:] | ~valid[1:]
+    end_positions = np.flatnonzero(ends_flag)
+    n_kmers = (end_positions - start_positions + 1).astype(np.int32)
+    minimizers = mins.minimizer_values[start_positions]
 
-    start_positions = positions[starts_flag]
-    minimizers = mins.minimizer_values[starts_flag]
-
-    # Pack each supermer's bases back-aligned: the t-th base from the end
-    # lands at bit 2t, so each iteration is one full-width gather+or with
-    # no boolean compaction (the old front-aligned loop re-compressed a
-    # shrinking `active` subset every step).  Every supermer has at least
-    # k bases, so the first k iterations need no mask at all.
+    # Each supermer is the first n_bases of the 32-base pack at its start:
+    # one doubling pack over the codes (zero-padded so every start has 32
+    # bases), one gather, one shift.
     n_bases = n_kmers.astype(np.int64) + (k - 1)
-    max_bases = int(n_bases.max())
-    min_bases = int(n_bases.min())
-    safe = np.where(reads.codes < SENTINEL, reads.codes, 0).astype(np.uint64)
-    end1 = start_positions + n_bases - 1  # index of each supermer's last base
-    packed = safe[end1].copy()
-    for t in range(1, max_bases):
-        contrib = safe[end1 - t] << np.uint64(2 * t)
-        if t >= min_bases:
-            contrib = np.where(n_bases > t, contrib, np.uint64(0))
-        packed |= contrib
+    safe = np.zeros(reads.codes.shape[0] + 31, dtype=np.uint8)
+    np.copyto(safe[: reads.codes.shape[0]], reads.codes, where=reads.codes < SENTINEL)
+    packed = pack_windows(safe, 32, n)[start_positions]
+    packed >>= (2 * (32 - n_bases)).astype(np.uint64)
 
     batch = SupermerBatch(k=k, packed=packed, n_kmers=n_kmers, minimizers=minimizers)
     return batch, start_positions

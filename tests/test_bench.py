@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench.reporting import format_series, format_table, write_report
@@ -69,3 +73,23 @@ class TestReporting:
         path = write_report("exp1", "hello world", results_dir=tmp_path)
         assert path.read_text() == "hello world\n"
         assert "exp1" in capsys.readouterr().out
+
+
+class TestBenchStagesBaseline:
+    @pytest.fixture(scope="class")
+    def bench_stages(self):
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_stages.py"
+        spec = importlib.util.spec_from_file_location("bench_stages_under_test", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_empty_or_missing_path_means_no_baseline(self, bench_stages, tmp_path):
+        assert bench_stages.load_baseline_cells("") == {}
+        assert bench_stages.load_baseline_cells(str(tmp_path)) == {}
+        assert bench_stages.load_baseline_cells(str(tmp_path / "absent.json")) == {}
+
+    def test_reads_cells(self, bench_stages, tmp_path):
+        record = tmp_path / "base.json"
+        record.write_text(json.dumps({"cells": [{"cell": "a/gpu", "sequential_s": 1.5}]}))
+        assert bench_stages.load_baseline_cells(str(record)) == {"a/gpu": 1.5}

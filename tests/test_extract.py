@@ -36,6 +36,20 @@ class TestWindowValues:
         w = window_values(string_to_codes("AC"), 5)
         assert w.n_windows == 0 and w.n_valid == 0
 
+    @pytest.mark.parametrize("width", range(1, 33))
+    def test_validity_matches_window_all(self, width):
+        """Doubling validity == the all() over every window it replaced."""
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        rng = np.random.default_rng(width)
+        codes = rng.integers(0, 4, size=400).astype(np.uint8)
+        codes[rng.integers(0, 400, size=6)] = 4
+        codes[100:160] = 4  # a long N run
+        codes[-1] = 4
+        w = window_values(codes, width)
+        expected = sliding_window_view(codes < 4, width).all(axis=1)
+        np.testing.assert_array_equal(w.valid, expected)
+
     def test_width_bounds(self):
         with pytest.raises(ValueError):
             window_values(np.zeros(10, dtype=np.uint8), 0)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,3 +53,15 @@ class TestPublicSurface:
 
         parser = build_parser()
         assert parser.prog == "repro"
+
+
+class TestImportCost:
+    def test_cli_import_leaves_networkx_unloaded(self):
+        """networkx is only needed to build de Bruijn graphs, not to count."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        probe = "import sys, repro.cli; print('networkx' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

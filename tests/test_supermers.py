@@ -7,18 +7,61 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dna.alphabet import SENTINEL
 from repro.dna.reads import ReadSet
 from repro.kmers.extract import extract_kmers
+from repro.kmers.minimizers import minimizers_for_windows
 from repro.kmers.supermers import (
     SupermerBatch,
     build_supermers,
     build_supermers_scalar,
+    build_supermers_with_positions,
     extract_kmers_from_packed,
     max_window_for,
 )
 
 dna = st.text(alphabet="ACGTN", min_size=0, max_size=150)
 ORDERINGS = ["lexicographic", "kmc2", "random-base"]
+
+
+def searchsorted_gather_oracle(reads, k, m, window, ordering):
+    """Supermers by per-window read lookup and a base-by-base shift-or pack.
+
+    Returns (packed, n_kmers, minimizers, start_positions).
+    """
+    mins = minimizers_for_windows(reads.codes, k, m, ordering)
+    n = mins.n_windows
+    valid = mins.valid
+    positions = np.arange(n, dtype=np.int64)
+    read_idx = np.searchsorted(reads.offsets, positions, side="right") - 1
+    read_idx = np.clip(read_idx, 0, max(len(reads.offsets) - 1, 0))
+    rel = positions - reads.offsets[read_idx]
+    prev_valid = np.concatenate(([False], valid[:-1]))
+    same_min = np.concatenate(([False], mins.minimizer_values[1:] == mins.minimizer_values[:-1]))
+    starts_flag = valid & ((rel % window == 0) | ~prev_valid | ~same_min)
+    run_id = (np.cumsum(starts_flag) - 1)[valid]
+    n_kmers = np.bincount(run_id, minlength=int(starts_flag.sum()))
+    start_positions = positions[starts_flag]
+    n_bases = n_kmers + (k - 1)
+    safe = np.where(reads.codes < SENTINEL, reads.codes, 0).astype(np.uint64)
+    packed = np.zeros(start_positions.shape[0], dtype=np.uint64)
+    for t in range(int(n_bases.max(initial=0))):
+        inside = t < n_bases
+        base = safe[np.where(inside, start_positions + t, 0)]
+        packed = np.where(inside, (packed << np.uint64(2)) | base, packed)
+    return packed, n_kmers, mins.minimizer_values[starts_flag], start_positions
+
+
+def assert_matches_oracle(reads, k, m, window, ordering):
+    batch, starts = build_supermers_with_positions(reads, k, m, window=window, ordering=ordering)
+    packed, n_kmers, minimizers, ref_starts = searchsorted_gather_oracle(reads, k, m, window, ordering)
+    np.testing.assert_array_equal(starts, ref_starts)
+    np.testing.assert_array_equal(batch.n_kmers, n_kmers)
+    np.testing.assert_array_equal(batch.minimizers, minimizers)
+    np.testing.assert_array_equal(batch.packed, packed)
+
+
+LOW_ENTROPY_READS = ["AC" * 40, "A" * 70, "ACAACAACA" * 6, "GT" * 4 + "N" * 50 + "ACGTTGCA" * 6, "ACG", ""]
 
 
 class TestMaxWindow:
@@ -59,6 +102,48 @@ class TestScalarVsVector:
         ref = [sm for r in reads for sm in build_supermers_scalar(r, 5, 3, window=4)]
         got = [(batch.supermer_string(i), int(batch.minimizers[i])) for i in range(len(batch))]
         assert got == ref
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("k", range(3, 16))
+    def test_small_k_full_window_matches_scalar(self, k):
+        """Packing at max_window_for(k): supermers up to 32 bases."""
+        rng = np.random.default_rng(k)
+        reads = ["".join("ACGT"[c] for c in rng.integers(0, 4, size=150))] + LOW_ENTROPY_READS
+        m = max(1, k // 2)
+        for ordering in ORDERINGS:
+            rs = ReadSet.from_strings(reads)
+            batch = build_supermers(rs, k, m, ordering=ordering)
+            ref = [sm for r in reads for sm in build_supermers_scalar(r, k, m, ordering=ordering)]
+            got = [(batch.supermer_string(i), int(batch.minimizers[i])) for i in range(len(batch))]
+            assert got == ref
+            assert int(batch.n_bases.max()) == 32  # the low-entropy reads fill a window
+
+    @pytest.mark.parametrize("k,m,window", [(17, 7, 16), (17, 7, 5), (31, 15, 2), (9, 4, 24), (3, 1, 30)])
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_matches_gather_oracle(self, genome_reads, k, m, window, ordering):
+        assert_matches_oracle(genome_reads, k, m, window, ordering)
+        assert_matches_oracle(ReadSet.from_strings(LOW_ENTROPY_READS), k, m, window, ordering)
+
+    def test_read_layouts_with_gaps_and_leading_bases(self):
+        """Offsets that skip bases, start late or repeat (empty reads)."""
+        rng = np.random.default_rng(5)
+        codes = rng.integers(0, 4, size=400).astype(np.uint8)
+        codes[[150, 151, 300]] = SENTINEL
+        layouts = [
+            ([7, 40, 152, 301], [20, 100, 140, 99]),  # bases before the first read and in gaps
+            ([0, 60, 60, 200], [60, 0, 90, 200]),  # an empty read sharing an offset
+            ([390], [10]),  # one read near the end
+        ]
+        for offsets, lengths in layouts:
+            rs = ReadSet(codes=codes, offsets=np.array(offsets), lengths=np.array(lengths))
+            for window in (1, 3, 16):
+                assert_matches_oracle(rs, 17, 7, window, "random-base")
+
+    def test_no_valid_kmers(self):
+        for reads in (["N" * 40], ["ACGT"], [], [""]):
+            batch, starts = build_supermers_with_positions(ReadSet.from_strings(reads), 17, 7)
+            assert len(batch) == 0 and starts.dtype == np.int64 and starts.size == 0
 
 
 class TestKmerConservation:
