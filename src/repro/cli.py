@@ -345,6 +345,7 @@ def _cmd_machines(_args: argparse.Namespace) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     from .core.engine import EngineOptions
     from .core.incremental import DistributedCounter
+    from .core.tracing import recording_region
     from .machines import resolve_machine
     from .mpi.topology import cluster_for
 
@@ -419,18 +420,21 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 counter.save(args.checkpoint)
 
     profile_text = None
-    if args.profile is not None:
-        profile_text = _profile_call(_count_inputs, top=args.profile)
-        if args.trace:
-            # One report, not two: the rendering rides inside the trace and
-            # `repro analyze --trace ... --profile` prints it with the anatomy.
-            print("profile embedded in trace (render with 'repro analyze --profile')")
+    # One root region holds every batch and the final merge, so a trace of
+    # any number of inputs is one tree.
+    with recording_region(options.trace, "count", cat="run", inputs=len(args.input)):
+        if args.profile is not None:
+            profile_text = _profile_call(_count_inputs, top=args.profile)
+            if args.trace:
+                # One report, not two: the rendering rides inside the trace and
+                # `repro analyze --trace ... --profile` prints it with the anatomy.
+                print("profile embedded in trace (render with 'repro analyze --profile')")
+            else:
+                print(profile_text)
         else:
-            print(profile_text)
-    else:
-        _count_inputs()
+            _count_inputs()
 
-    spectrum_full = counter.spectrum()
+        spectrum_full = counter.spectrum()
     loads = counter.load_stats()
     rows = [
         ["inputs", len(args.input)],

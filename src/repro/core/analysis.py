@@ -242,12 +242,15 @@ def _span_index(spans: list[dict]) -> dict[object, dict]:
 
 
 def _region_path(span: dict, by_id: dict[object, dict]) -> str:
-    """Slash-joined ancestor names, root (the ``run`` region) omitted."""
+    """Slash-joined ancestor names, the root and ``batch`` regions omitted.
+
+    A streamed run's batches then group like the stages of one run.
+    """
     names: list[str] = []
     cur = span
     while cur is not None:
         parent = by_id.get(cur["parent"])
-        if parent is not None:  # drop the root region's name
+        if parent is not None and cur["cat"] != "batch":
             names.append(cur["name"])
         cur = parent
     return "/".join(reversed(names))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .results import LoadStats, PhaseTiming
 from .stages.context import EngineOptions
 from .stages.registry import build_composition
 from .stages.scheduler import PipelineState, RoundScheduler
+from .tracing import recording_region
 
 __all__ = ["DistributedCounter"]
 
@@ -144,7 +146,13 @@ class DistributedCounter:
 
     def spectrum(self) -> KmerSpectrum:
         """The current merged global histogram."""
-        return self._composition.merge.merge_tables(self.tables, self.config.k)
+        recorder = self.options.span_recorder
+        with recording_region(recorder, "merge", cat="stage"):
+            t0 = perf_counter()
+            spectrum = self._composition.merge.merge_tables(self.tables, self.config.k)
+            if recorder is not None:
+                recorder.record("merge", 0, t0, perf_counter())
+        return spectrum
 
     def load_stats(self) -> LoadStats:
         return LoadStats.from_loads(self.received_kmers)

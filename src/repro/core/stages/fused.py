@@ -674,17 +674,9 @@ class FusedPipeline:
         self.arena.release(fp.data, fp.lengths)
         t_count = float(per_rank_count.max()) if p else 0.0
 
-        # Plugins adjust each rank partition separately, so keep the
-        # per-rank item lists when any are active.  Without plugins the
-        # merge is one global np.unique over the concatenation, which is
-        # order-insensitive (integer count sums are exact in float64), so
-        # a single whole-table extraction replaces p masked key sorts.
         with recording_region(recorder, "merge", cat="stage"):
             t0 = perf_counter()
-            if comp.merge.plugins:
-                spectrum = comp.merge.merge_items([table.items_of(r) for r in range(p)], config.k)
-            else:
-                spectrum = comp.merge.merge_items([table.items_flat()], config.k)
+            spectrum = comp.merge.merge_tables(table.views(), config.k)
             if recorder is not None:
                 recorder.record("fused:merge", 0, t0, perf_counter())
         if comp.conserves_kmers and spectrum.n_total != total_parsed_kmers:

@@ -28,8 +28,10 @@ version-1 files still load, with zeroed stats and empty traffic).
 
 from __future__ import annotations
 
+import zipfile
+import zlib
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from time import perf_counter
 
@@ -136,58 +138,80 @@ class PipelineState:
         """Restore state saved by :meth:`save` into this object.
 
         The state must match the checkpoint's cluster size and k; anything
-        else is a configuration error and is rejected.
+        else is a configuration error and is rejected.  Every field is read
+        and checked before any is assigned, so a truncated or inconsistent
+        file raises an error naming it and leaves this state untouched.
         """
         n_ranks = len(self.tables)
-        with np.load(path) as data:
-            version = int(data["version"][0])
-            if version not in (1, _CHECKPOINT_VERSION):
-                raise ValueError(f"{path}: unsupported checkpoint version")
-            if int(data["k"][0]) != k:
-                raise ValueError(f"{path}: checkpoint k={int(data['k'][0])} != config k={k}")
-            if int(data["n_ranks"][0]) != n_ranks:
-                raise ValueError(
-                    f"{path}: checkpoint has {int(data['n_ranks'][0])} ranks, cluster has {n_ranks}"
+        try:
+            with np.load(path) as data:
+                loaded = _read_checkpoint(data, k=k, n_ranks=n_ranks, table_seed=table_seed)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        except (KeyError, IndexError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+            raise ValueError(f"{path}: truncated or corrupt checkpoint ({exc!r})") from exc
+        for f in fields(self):
+            setattr(self, f.name, getattr(loaded, f.name))
+
+
+def _read_checkpoint(data, *, k: int, n_ranks: int, table_seed: int) -> PipelineState:
+    """A fresh state holding every field of an opened checkpoint, validated."""
+    version = int(data["version"][0])
+    if version not in (1, _CHECKPOINT_VERSION):
+        raise ValueError("unsupported checkpoint version")
+    if int(data["k"][0]) != k:
+        raise ValueError(f"checkpoint k={int(data['k'][0])} != config k={k}")
+    if int(data["n_ranks"][0]) != n_ranks:
+        raise ValueError(f"checkpoint has {int(data['n_ranks'][0])} ranks, cluster has {n_ranks}")
+    received = data["received"].astype(np.int64)
+    if received.shape != (n_ranks,):
+        raise ValueError(f"'received' has shape {received.shape}, expected ({n_ranks},)")
+    n_batches = int(data["n_batches"][0])
+    exchanged_items = int(data["exchanged_items"][0])
+    t = data["timing"]
+    if t.shape != (3,):
+        raise ValueError(f"'timing' has shape {t.shape}, expected (3,)")
+    timing = PhaseTiming(parse=float(t[0]), exchange=float(t[1]), count=float(t[2]))
+    # Accounting is always reset — any stats accumulated before the load
+    # belong to a different run, and a version-1 file simply has nothing
+    # to restore.
+    insert_stats = InsertStats.zero()
+    traffic = TrafficStats()
+    if version >= 2:
+        stats = data["insert_stats"]
+        if stats.shape != (len(_INSERT_STAT_FIELDS),):
+            raise ValueError(f"'insert_stats' has shape {stats.shape}")
+        insert_stats = InsertStats(
+            **{field: int(value) for field, value in zip(_INSERT_STAT_FIELDS, stats)}
+        )
+        for i in range(int(data["traffic_n"][0])):
+            op, label = (str(s) for s in data[f"traffic_meta_{i}"])
+            items_key = f"traffic_items_{i}"
+            traffic.records.append(
+                CollectiveRecord(
+                    op=op,
+                    label=label,
+                    bytes_matrix=data[f"traffic_bytes_{i}"].astype(np.int64),
+                    items_matrix=data[items_key].astype(np.int64) if items_key in data else None,
                 )
-            self.tables = [DeviceHashTable(64, seed=table_seed) for _ in range(n_ranks)]
-            self.fused_table = None
-            for r in range(n_ranks):
-                keys = data[f"keys_{r}"]
-                counts = data[f"counts_{r}"]
-                if keys.size:
-                    # Checkpoints store each partition's items sorted by key
-                    # (DeviceHashTable.items), so the dedup sort is redundant.
-                    self.tables[r].insert_batch(keys, weights=counts, assume_unique=True)
-            self.received_kmers = data["received"].astype(np.int64).copy()
-            self.n_batches = int(data["n_batches"][0])
-            self.exchanged_items = int(data["exchanged_items"][0])
-            t = data["timing"]
-            self.timing = PhaseTiming(parse=float(t[0]), exchange=float(t[1]), count=float(t[2]))
-            # Accounting is always reset — any stats accumulated in this
-            # object before the load belong to a different run, and a
-            # version-1 file simply has nothing to restore.
-            self.insert_stats = InsertStats.zero()
-            self.traffic = TrafficStats()
-            if version >= 2:
-                self.insert_stats = InsertStats(
-                    **{
-                        field: int(value)
-                        for field, value in zip(_INSERT_STAT_FIELDS, data["insert_stats"])
-                    }
-                )
-                for i in range(int(data["traffic_n"][0])):
-                    op, label = (str(s) for s in data[f"traffic_meta_{i}"])
-                    items_key = f"traffic_items_{i}"
-                    self.traffic.records.append(
-                        CollectiveRecord(
-                            op=op,
-                            label=label,
-                            bytes_matrix=data[f"traffic_bytes_{i}"].astype(np.int64),
-                            items_matrix=(
-                                data[items_key].astype(np.int64) if items_key in data else None
-                            ),
-                        )
-                    )
+            )
+    tables = [DeviceHashTable(64, seed=table_seed) for _ in range(n_ranks)]
+    for r in range(n_ranks):
+        keys = data[f"keys_{r}"]
+        counts = data[f"counts_{r}"]
+        if keys.size:
+            # Checkpoints store each partition's items sorted by key
+            # (DeviceHashTable.items), so the dedup sort is redundant.
+            tables[r].insert_batch(keys, weights=counts, assume_unique=True)
+    return PipelineState(
+        tables=tables,
+        timing=timing,
+        traffic=traffic,
+        received_kmers=received,
+        exchanged_items=exchanged_items,
+        n_batches=n_batches,
+        insert_stats=insert_stats,
+    )
 
 
 class RoundScheduler:

@@ -76,7 +76,13 @@ from ..tracing import recording_region
 from .buffers import ExchangeOutcome, RankParse, add_link_seconds
 from .fused import FusedPipeline
 from .registry import StageComposition
-from .standard import AlltoallvExchange, SpectrumMerge, exchange_time_model, verify_exchange
+from .standard import (
+    AlltoallvExchange,
+    SpectrumMerge,
+    exchange_time_model,
+    sum_by_key,
+    verify_exchange,
+)
 
 __all__ = [
     "FusedSpillPipeline",
@@ -102,7 +108,7 @@ def supports_spill(comp: StageComposition) -> bool:
 
     The spill path substitutes the exchange (partition files for receive
     buffers) and the merge (external k-way merge for the in-memory
-    ``np.unique``), so both must be the standard classes whose semantics
+    sort), so both must be the standard classes whose semantics
     it reproduces.  Parse, partition, count, and substrate are driven
     through their ordinary seams and may be anything; plugins act through
     the standard hooks, which the spill path honours.
@@ -430,9 +436,8 @@ def external_merge(
     cursors' last-loaded keys yields the *safe emission bound*: every
     instance of a key ``<= bound`` is already loaded, because each run's
     unloaded keys exceed its last-loaded key.  Chunks are aggregated with
-    the same ``np.unique`` + weighted ``bincount`` the in-memory
-    :class:`SpectrumMerge` uses, so the concatenated chunk outputs equal
-    the whole-array merge exactly.
+    the same :func:`sum_by_key` the in-memory :class:`SpectrumMerge` uses,
+    so the concatenated chunk outputs equal the whole-array merge exactly.
     """
     # per run: [keys, counts, lo, head_keys, head_counts, hp, generation]
     cursors = []
@@ -481,8 +486,7 @@ def external_merge(
         chunk_k = np.concatenate(parts_k) if parts_k else np.empty(0, dtype=np.uint64)
         chunk_c = np.concatenate(parts_c) if parts_c else np.empty(0, dtype=np.int64)
         if chunk_k.size:
-            uniq, inverse = np.unique(chunk_k, return_inverse=True)
-            merged = np.bincount(inverse, weights=chunk_c).astype(np.int64)
+            uniq, merged = sum_by_key(chunk_k, chunk_c)
             out_keys.append(uniq)
             out_counts.append(merged)
 
@@ -1041,12 +1045,7 @@ class FusedSpillPipeline:
             # ---- phase 4: fused in-memory merge (the table is resident) ----
             with recording_region(recorder, "merge", cat="stage"):
                 t0 = perf_counter()
-                if comp.merge.plugins:
-                    spectrum = comp.merge.merge_items(
-                        [table.items_of(r) for r in range(p)], config.k
-                    )
-                else:
-                    spectrum = comp.merge.merge_items([table.items_flat()], config.k)
+                spectrum = comp.merge.merge_tables(table.views(), config.k)
                 if recorder is not None:
                     recorder.record("fused:merge", 0, t0, perf_counter())
             if comp.conserves_kmers and spectrum.n_total != total_parsed_kmers:

@@ -32,6 +32,7 @@ from ...dna.reads import ReadSet
 from ...gpu.costmodel import TrafficEstimate, staging_time
 from ...gpu.hashtable import DeviceHashTable, InsertStats
 from ...gpu.kernels import VirtualGPU
+from ...gpu.segmented import SegmentedHashTable
 from ...hashing.partition import KmerPartitioner, MinimizerPartitioner
 from ...kmers.extract import window_values
 from ...kmers.spectrum import KmerSpectrum
@@ -50,6 +51,7 @@ __all__ = [
     "AlltoallvExchange",
     "TableCount",
     "SpectrumMerge",
+    "sum_by_key",
     "GpuSubstrate",
     "CpuSubstrate",
     "assemble_rank_parse",
@@ -359,6 +361,34 @@ class TableCount:
 # ---------------------------------------------------------------------------
 
 
+def sum_by_key(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort ``(keys, counts)`` by key and sum the counts of equal keys.
+
+    One sort; adjacent duplicates are summed (``np.add.reduceat``) only
+    when there are any.  Integer sums do not depend on the order of equal
+    keys, so any sort order of them gives the same result.
+    """
+    n = keys.shape[0]
+    idx_bits = max((n - 1).bit_length(), 1)
+    if int(keys.max()).bit_length() + idx_bits <= 64:
+        # Positions ride in the low bits of the keys: one value sort, several
+        # times faster than an argsort, yields both the keys and the order.
+        packed = (keys.astype(np.uint64) << np.uint64(idx_bits)) | np.arange(n, dtype=np.uint64)
+        packed.sort()
+        order = (packed & np.uint64((1 << idx_bits) - 1)).astype(np.int64)
+        keys = packed >> np.uint64(idx_bits)
+    else:
+        order = np.argsort(keys)
+        keys = keys[order]
+    counts = counts[order].astype(np.int64, copy=False)
+    new_key = keys[1:] != keys[:-1]
+    if not new_key.all():
+        starts = np.flatnonzero(np.concatenate(([True], new_key)))
+        keys = keys[starts]
+        counts = np.add.reduceat(counts, starts)
+    return keys, counts
+
+
 class SpectrumMerge:
     """Merge per-rank partitions of the global table into one spectrum.
 
@@ -385,11 +415,16 @@ class SpectrumMerge:
         counts = np.concatenate([c for _, c in adjusted])
         if keys.size == 0:
             return KmerSpectrum(k=k, values=keys, counts=counts)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        merged = np.bincount(inverse, weights=counts).astype(np.int64)
-        return KmerSpectrum(k=k, values=uniq, counts=merged)
+        keys, counts = sum_by_key(keys, counts)
+        return KmerSpectrum(k=k, values=keys, counts=counts)
 
     def merge_tables(self, tables: list[DeviceHashTable], k: int) -> KmerSpectrum:
+        # The merge re-sorts globally, so without plugins (which adjust each
+        # partition separately) the views of one SegmentedHashTable are read
+        # in one storage pass instead of one key sort per rank.
+        whole = None if self.plugins else SegmentedHashTable.of_views(tables)
+        if whole is not None:
+            return self.merge_items([whole.items_flat()], k)
         return self.merge_items([t.items() for t in tables], k)
 
 

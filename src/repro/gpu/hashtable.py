@@ -6,7 +6,10 @@ increments happen with atomic operations.  The GPU executes one logical
 thread per received k-mer; here the same algorithm runs as *rounds* of
 vectorized probes in which concurrent atomicCAS claims on the same slot are
 resolved exactly like the hardware would (one winner per slot per round,
-losers re-probe).
+losers re-probe).  The winner of a contested slot is its lowest-index
+claimant, found in O(n) by a scatter-min (``np.minimum.at``) into a
+slot-indexed scratch array; pending keys are in ascending key order, so
+that is the smallest contending key.
 
 Duplicate keys inside a batch are pre-aggregated (``np.unique``) before
 probing; that changes no observable state and the probe statistics are
@@ -112,9 +115,10 @@ class DeviceHashTable:
         self._alloc(capacity)
         self._n_entries = 0
 
-    def _probe_slots(self, base: np.ndarray, stride: np.ndarray, probe_no: np.ndarray) -> np.ndarray:
-        """Slot of each key's probe number ``probe_no`` (0-based, vectorized)."""
-        i = probe_no.astype(np.uint64)
+    def _probe_slots(self, base: np.ndarray, stride: np.ndarray, probe_no: int) -> np.ndarray:
+        """Slot of each key's probe number ``probe_no`` (0-based; every key
+        still pending in a probe round is on the same probe)."""
+        i = np.uint64(probe_no)
         if self.probing == "linear":
             return (base + i) & self._mask
         if self.probing == "quadratic":
@@ -233,11 +237,14 @@ class DeviceHashTable:
         Returns the stats plus the per-unique-key probe counts (parallel to
         ``uniq``), which feed the telemetry probe-length histogram.
         """
+        n = uniq.shape[0]
         base = (hash_kmers_batch(uniq, seed=self.seed) & self._mask).astype(np.uint64)
         stride = self._strides(uniq)
-        probe_no = np.zeros(uniq.shape[0], dtype=np.int64)
-        pending = np.arange(uniq.shape[0], dtype=np.int64)
-        probes = np.ones(uniq.shape[0], dtype=np.int64)  # first slot inspection
+        pending = np.arange(n, dtype=np.int64)
+        # A key's probe count is the round it finished in.
+        probes = np.empty(n, dtype=np.int64)
+        # Claim scratch: first[slot] = lowest index of a claimant of slot.
+        first = np.empty(self.capacity, dtype=np.int64)
         new_keys = 0
         conflicts = 0
         rounds = 0
@@ -245,32 +252,38 @@ class DeviceHashTable:
             rounds += 1
             if rounds > self.capacity + 1:
                 raise RuntimeError("hash table probe loop failed to terminate (table full?)")
-            s = self._probe_slots(base[pending], stride[pending], probe_no[pending])
+            s = self._probe_slots(base[pending], stride[pending], rounds - 1).astype(np.int64)
             occupant = self.keys[s]
             vals = uniq[pending]
 
             # Hit: occupant already equals our key -> atomic count increment.
-            hit = occupant == vals
+            done = occupant == vals
+            hit = np.flatnonzero(done)
             self.counts[s[hit]] += w[pending[hit]]
 
-            # Claim: empty slot -> atomicCAS; first claimant per slot wins.
-            empty = occupant == EMPTY_KEY
-            if empty.any():
-                empty_idx = np.flatnonzero(empty)
+            # Claim: empty slot -> atomicCAS; the lowest-index claimant per
+            # slot (pending is ascending, so the smallest key) wins.
+            empty_idx = np.flatnonzero(occupant == EMPTY_KEY)
+            if empty_idx.size:
                 claim_slots = s[empty_idx]
-                _, first = np.unique(claim_slots, return_index=True)
-                winners = empty_idx[first]
-                self.keys[s[winners]] = vals[winners]
-                self.counts[s[winners]] += w[pending[winners]]
+                order = np.arange(empty_idx.shape[0], dtype=np.int64)
+                first[claim_slots] = empty_idx.shape[0]
+                np.minimum.at(first, claim_slots, order)
+                winners = empty_idx[first[claim_slots] == order]
+                ws = s[winners]
+                # An empty slot's count is 0, so the claim stores the weight.
+                self.keys[ws] = vals[winners]
+                self.counts[ws] = w[pending[winners]]
+                done[winners] = True
                 new_keys += winners.shape[0]
                 conflicts += int(empty_idx.shape[0] - winners.shape[0])
 
-            # Anything whose slot now holds a different key keeps probing.
-            still = self.keys[s] != vals
-            nxt = pending[still]
-            probe_no[nxt] += 1
-            probes[nxt] += 1
-            pending = nxt
+            # Claims are distinct keys in distinct slots, so everything not
+            # hit or won now sees a different key and keeps probing.
+            # Index arrays, not boolean masks: masked indexing is several
+            # times slower on the random masks a probe round produces.
+            probes[pending[np.flatnonzero(done)]] = rounds
+            pending = pending[np.flatnonzero(~done)]
 
         self._n_entries += new_keys
         stats = InsertStats(
@@ -292,27 +305,24 @@ class DeviceHashTable:
             return out
         base = (hash_kmers_batch(vals, seed=self.seed) & self._mask).astype(np.uint64)
         stride = self._strides(vals)
-        probe_no = np.zeros(vals.shape[0], dtype=np.int64)
         pending = np.arange(vals.shape[0], dtype=np.int64)
-        for _ in range(self.capacity + 1):
+        for probe_no in range(self.capacity + 1):
             if not pending.size:
                 break
-            s = self._probe_slots(base[pending], stride[pending], probe_no[pending])
+            s = self._probe_slots(base[pending], stride[pending], probe_no)
             occupant = self.keys[s]
             hit = occupant == vals[pending]
-            out[pending[hit]] = self.counts[s[hit]]
+            found = np.flatnonzero(hit)
+            out[pending[found]] = self.counts[s[found]]
             # Missing keys terminate at the first empty slot.
-            cont = ~hit & (occupant != EMPTY_KEY)
-            nxt = pending[cont]
-            probe_no[nxt] += 1
-            pending = nxt
+            pending = pending[np.flatnonzero(~hit & (occupant != EMPTY_KEY))]
         return out
 
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         """All (key, count) pairs, sorted by key."""
-        mask = self.keys != EMPTY_KEY
-        keys = self.keys[mask]
-        counts = self.counts[mask]
+        used = np.flatnonzero(self.keys != EMPTY_KEY)
+        keys = self.keys[used]
+        counts = self.counts[used]
         order = np.argsort(keys)
         return keys[order], counts[order]
 

@@ -180,6 +180,18 @@ class SegmentedHashTable:
     def table_bytes(self) -> int:
         return int(self.keys.nbytes + self.counts.nbytes)
 
+    @staticmethod
+    def of_views(tables: list) -> "SegmentedHashTable | None":
+        """The table whose rank views, in rank order, are exactly ``tables``."""
+        if not tables or not all(isinstance(t, SegmentedRankView) for t in tables):
+            return None
+        parent = tables[0]._parent
+        if len(tables) != parent.n_ranks:
+            return None
+        if all(t._parent is parent and t.rank == r for r, t in enumerate(tables)):
+            return parent
+        return None
+
     def view(self, rank: int) -> "SegmentedRankView":
         return SegmentedRankView(self, rank)
 
@@ -189,10 +201,9 @@ class SegmentedHashTable:
     def items_of(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
         """Rank's (key, count) pairs sorted by key (as ``DeviceHashTable.items``)."""
         lo, hi = int(self.region_base[rank]), int(self.region_base[rank + 1])
-        keys = self.keys[lo:hi]
-        mask = keys != EMPTY_KEY
-        keys = keys[mask]
-        counts = self.counts[lo:hi][mask]
+        used = lo + np.flatnonzero(self.keys[lo:hi] != EMPTY_KEY)
+        keys = self.keys[used]
+        counts = self.counts[used]
         order = np.argsort(keys)
         return keys[order], counts[order]
 
@@ -201,15 +212,15 @@ class SegmentedHashTable:
 
         The union of the per-rank ``items_of`` sets without their per-rank
         key sorts — for consumers that aggregate globally (the spectrum
-        merge re-sorts through ``np.unique`` anyway).
+        merge re-sorts anyway).
         """
-        mask = self.keys != EMPTY_KEY
-        return self.keys[mask], self.counts[mask]
+        used = np.flatnonzero(self.keys != EMPTY_KEY)
+        return self.keys[used], self.counts[used]
 
     # -- probing -----------------------------------------------------
 
-    def _local_slots(self, base: np.ndarray, stride: np.ndarray, masks: np.ndarray, probe_no: np.ndarray) -> np.ndarray:
-        i = probe_no.astype(np.uint64)
+    def _local_slots(self, base: np.ndarray, stride: np.ndarray, masks: np.ndarray, probe_no: int) -> np.ndarray:
+        i = np.uint64(probe_no)
         if self.probing == "linear":
             return (base + i) & masks
         if self.probing == "quadratic":
@@ -367,22 +378,27 @@ class SegmentedHashTable:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Fused probe loop over every rank's pre-deduplicated keys.
 
-        ``uniq`` is sorted by (rank, key).  Claim winners are decided by
-        ``np.unique(claim_slots, return_index=True)`` just like the
-        per-rank loop: regions are slot-disjoint, so a contested slot only
-        sees candidates from one rank, and within a rank the pending order
-        is ascending-key — the same order ``np.unique`` hands each rank's
-        insert — so the winner is the per-rank winner.
+        ``uniq`` is sorted by (rank, key).  A contested slot goes to its
+        lowest-index claimant, found by a scatter-min (``np.minimum.at``)
+        into scratch covering the block's regions.  Regions are
+        slot-disjoint, so a contested slot only sees candidates from one
+        rank, and within a rank the pending order is ascending-key — the
+        order ``DeviceHashTable._insert_unique`` resolves claims in — so the
+        winner is the per-rank winner.
         """
         p = self.n_ranks
+        n = uniq.shape[0]
         key_masks = self._masks[useg]
         key_rbase = self._base_u64[useg]
         base = (hash_kmers_batch(uniq, seed=self.seed) & key_masks).astype(np.uint64)
         stride = self._strides(uniq, key_masks)
-        probe_no = np.zeros(uniq.shape[0], dtype=np.int64)
-        pending = np.arange(uniq.shape[0], dtype=np.int64)
-        probes = np.ones(uniq.shape[0], dtype=np.int64)
-        new_per_rank = np.zeros(p, dtype=np.int64)
+        pending = np.arange(n, dtype=np.int64)
+        # A key's probe count is the round it finished in.
+        probes = np.empty(n, dtype=np.int64)
+        # Claim scratch over the slot window of the ranks in this call.
+        lo_slot = int(self.region_base[useg[0]])
+        first = np.empty(int(self.region_base[useg[-1] + 1]) - lo_slot, dtype=np.int64)
+        claimed = np.zeros(n, dtype=bool)
         conflicts_per_rank = np.zeros(p, dtype=np.int64)
         guard = int(self.capacities.max()) + 1
         rounds = 0
@@ -390,37 +406,40 @@ class SegmentedHashTable:
             rounds += 1
             if rounds > guard:
                 raise RuntimeError("hash table probe loop failed to terminate (table full?)")
-            local = self._local_slots(
-                base[pending], stride[pending], key_masks[pending], probe_no[pending]
-            )
+            local = self._local_slots(base[pending], stride[pending], key_masks[pending], rounds - 1)
             s = (key_rbase[pending] + local).astype(np.int64)
             occupant = self.keys[s]
             vals = uniq[pending]
 
-            hit = occupant == vals
+            done = occupant == vals
+            hit = np.flatnonzero(done)
             self.counts[s[hit]] += w[pending[hit]]
 
-            empty = occupant == EMPTY_KEY
-            if empty.any():
-                empty_idx = np.flatnonzero(empty)
-                claim_slots = s[empty_idx]
-                _, first = np.unique(claim_slots, return_index=True)
-                winners = empty_idx[first]
+            empty_idx = np.flatnonzero(occupant == EMPTY_KEY)
+            if empty_idx.size:
+                claim_slots = s[empty_idx] - lo_slot
+                order = np.arange(empty_idx.shape[0], dtype=np.int64)
+                first[claim_slots] = empty_idx.shape[0]
+                np.minimum.at(first, claim_slots, order)
+                won = first[claim_slots] == order
+                winners = empty_idx[won]
                 ws = s[winners]
+                win_keys = pending[winners]
+                # An empty slot's count is 0, so the claim stores the weight.
                 self.keys[ws] = vals[winners]
-                self.counts[ws] += w[pending[winners]]
-                win_seg = useg[pending[winners]]
-                claim_seg = useg[pending[empty_idx]]
-                win_counts = np.bincount(win_seg, minlength=p)
-                new_per_rank += win_counts
-                conflicts_per_rank += np.bincount(claim_seg, minlength=p) - win_counts
+                self.counts[ws] = w[win_keys]
+                claimed[win_keys] = True
+                done[winners] = True
+                if winners.shape[0] < empty_idx.shape[0]:
+                    losers = pending[empty_idx[~won]]
+                    conflicts_per_rank += np.bincount(useg[losers], minlength=p)
 
-            still = self.keys[s] != vals
-            nxt = pending[still]
-            probe_no[nxt] += 1
-            probes[nxt] += 1
-            pending = nxt
+            # Index arrays, not boolean masks: masked indexing is several
+            # times slower on the random masks a probe round produces.
+            probes[pending[np.flatnonzero(done)]] = rounds
+            pending = pending[np.flatnonzero(~done)]
 
+        new_per_rank = np.bincount(useg[claimed], minlength=p)
         self.n_entries_per_rank += new_per_rank
         rounds_per_rank = np.zeros(p, dtype=np.int64)
         np.maximum.at(rounds_per_rank, useg, probes)
@@ -436,10 +455,9 @@ class SegmentedHashTable:
         rehash = []
         for r in grown:
             lo, hi = int(old_base[r]), int(old_base[r + 1])
-            region_keys = old_keys[lo:hi]
-            mask = region_keys != EMPTY_KEY
-            keys = region_keys[mask]
-            counts = old_counts[lo:hi][mask]
+            used = lo + np.flatnonzero(old_keys[lo:hi] != EMPTY_KEY)
+            keys = old_keys[used]
+            counts = old_counts[used]
             order = np.argsort(keys)
             rehash.append((int(r), keys[order], counts[order]))
         self._layout(new_caps)
@@ -466,20 +484,17 @@ class SegmentedHashTable:
         base = (hash_kmers_batch(vals, seed=self.seed) & mask).astype(np.uint64)
         masks = np.full(vals.shape[0], mask, dtype=np.uint64)
         stride = self._strides(vals, masks)
-        probe_no = np.zeros(vals.shape[0], dtype=np.int64)
         pending = np.arange(vals.shape[0], dtype=np.int64)
-        for _ in range(int(self.capacities[rank]) + 1):
+        for probe_no in range(int(self.capacities[rank]) + 1):
             if not pending.size:
                 break
-            local = self._local_slots(base[pending], stride[pending], masks[pending], probe_no[pending])
+            local = self._local_slots(base[pending], stride[pending], masks[pending], probe_no)
             s = (rbase + local).astype(np.int64)
             occupant = self.keys[s]
             hit = occupant == vals[pending]
-            out[pending[hit]] = self.counts[s[hit]]
-            cont = ~hit & (occupant != EMPTY_KEY)
-            nxt = pending[cont]
-            probe_no[nxt] += 1
-            pending = nxt
+            found = np.flatnonzero(hit)
+            out[pending[found]] = self.counts[s[found]]
+            pending = pending[np.flatnonzero(~hit & (occupant != EMPTY_KEY))]
         return out
 
 

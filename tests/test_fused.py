@@ -19,6 +19,7 @@ from repro.core.memory import ScratchArena
 from repro.core.stages.fused import resolve_fused, supports_fusion
 from repro.gpu.hashtable import DeviceHashTable, InsertStats
 from repro.gpu.segmented import SegmentedHashTable
+from repro.hashing.murmur3 import hash_kmers_batch
 from repro.kmers.extract import extract_kmers_scalar, window_values
 from repro.telemetry import MetricRegistry, session
 
@@ -234,6 +235,225 @@ def test_insert_flat_weights_and_validation():
         seg.insert_flat(vals, np.array([0, 2, 4], dtype=np.int64))
     with pytest.raises(ValueError, match=">= 1"):
         seg.insert_flat(vals, offs, weights=np.array([1, 0, 1], dtype=np.int64))
+
+
+def _assert_regions_match(seg: SegmentedHashTable, tables: list[DeviceHashTable]) -> None:
+    for r, table in enumerate(tables):
+        lo, hi = int(seg.region_base[r]), int(seg.region_base[r + 1])
+        assert np.array_equal(seg.keys[lo:hi], table.keys), f"rank {r} layout diverged"
+        assert np.array_equal(seg.counts[lo:hi], table.counts), f"rank {r} counts diverged"
+        assert seg.n_entries_per_rank[r] == table.n_entries
+
+
+class TestFlatClaimOracle:
+    """The fused probe loop's scatter-min claims against per-rank tables
+    that resolve claims with the ``np.unique`` winner rule.
+
+    Slot layout, per-rank ``InsertStats`` and every telemetry family (the
+    ``hashtable_probe_length`` histogram included) must agree.
+    """
+
+    @staticmethod
+    def _drive(seg, calls, hints, **kw):
+        """Run ``(segments, weights)`` calls on ``seg`` and on oracle tables."""
+        from .claim_oracle import OracleHashTable
+
+        oracles = [OracleHashTable(h, **kw) for h in hints]
+        reg_fast, reg_ref = MetricRegistry(), MetricRegistry()
+        for segments, wts in calls:
+            flat_w = None if wts is None else np.concatenate(wts)
+            with session(reg_fast):
+                stats = seg.insert_flat(np.concatenate(segments), _offsets(segments), weights=flat_w)
+            with session(reg_ref):
+                ref = [
+                    table.insert_batch(segment, weights=None if wts is None else wts[r])
+                    if segment.size
+                    else InsertStats.zero()
+                    for r, (table, segment) in enumerate(zip(oracles, segments))
+                ]
+            assert stats == ref
+        assert reg_fast.snapshot(include_wall=False) == reg_ref.snapshot(include_wall=False)
+        assert reg_fast.snapshot(include_wall=False)["hashtable_probe_length"]["samples"]
+        _assert_regions_match(seg, oracles)
+        return oracles
+
+    @staticmethod
+    def _calls(rng):
+        first = [rng.choice(2**40, size=n, replace=False).astype(np.uint64) for n in (57, 57, 0, 57)]
+        second = [_random_keys(rng, n, space=900) for n in (400, 5, 300, 0)]
+        weights = [rng.integers(1, 5, size=c.shape[0]).astype(np.int64) for c in second]
+        # Call 1 fills regions 0, 1 and 3 to 0.89 (contested claims in most
+        # rounds); call 2 brings weighted duplicates and regrows regions 0
+        # and 2 before probing.
+        return [(first, None), (second, weights)]
+
+    @pytest.mark.parametrize("probing", ["linear", "quadratic", "double"])
+    def test_contention_weights_and_regrow(self, probing):
+        hints = [57, 57, 20, 57]
+        kw = dict(seed=4, max_load_factor=0.9, probing=probing)
+        seg = SegmentedHashTable(hints, **kw)
+        assert list(seg.capacities) == [64, 64, 64, 64]
+        calls = self._calls(np.random.default_rng(21))
+        self._drive(seg, calls, hints, **kw)
+        assert seg.capacities[0] > 64 and seg.capacities[2] > 64
+
+    @pytest.mark.parametrize("probing", ["linear", "double"])
+    def test_file_backed_table(self, probing, tmp_path):
+        hints = [57, 57, 20, 57]
+        kw = dict(seed=9, max_load_factor=0.9, probing=probing)
+        seg = SegmentedHashTable(hints, table_dir=tmp_path, **kw)
+        self._drive(seg, self._calls(np.random.default_rng(22)), hints, **kw)
+        assert isinstance(seg.keys, np.memmap)
+        seg.close()
+
+    @pytest.mark.parametrize("probing", ["linear", "quadratic", "double"])
+    def test_rank_view_insert_after_fused_batch(self, probing):
+        rng = np.random.default_rng(23)
+        hints = [57, 57, 20, 57]
+        kw = dict(seed=1, max_load_factor=0.9, probing=probing)
+        seg = SegmentedHashTable(hints, **kw)
+        oracles = self._drive(seg, self._calls(rng)[:1], hints, **kw)
+        for r in (3, 0, 2):
+            batch = _random_keys(rng, 150, space=2000)
+            assert seg.view(r).insert_batch(batch) == oracles[r].insert_batch(batch)
+        _assert_regions_match(seg, oracles)
+
+    def test_probe_counts_are_per_key_rounds(self):
+        # A key's probe count is the round it finished in: with one
+        # contested home slot, the loser needs exactly one more probe.
+        seg = SegmentedHashTable([57], max_load_factor=0.9)
+        keys = np.arange(2000, dtype=np.uint64)
+        home = (hash_kmers_batch(keys, seed=0) & np.uint64(63)).astype(np.int64)
+        a, b = np.flatnonzero(home == home[0])[:2]
+        stats = seg.insert_flat(keys[[a, b]], np.array([0, 2], dtype=np.int64))
+        assert stats[0].total_probes == 3 and stats[0].cas_conflicts == 1
+        assert stats[0].rounds == 2
+
+
+class TestSpectrumMergeOracle:
+    """The one-sort merge against ``np.unique`` + float64 ``bincount``."""
+
+    @staticmethod
+    def _split_table() -> SegmentedHashTable:
+        # Keys 0..149 land in ranks 0 and 2 both, as a canonical k-mer
+        # split across two owners does in supermer mode.
+        rng = np.random.default_rng(31)
+        shared = np.arange(150, dtype=np.uint64)
+        segments = [
+            np.concatenate([shared, _random_keys(rng, 300, space=5000) + np.uint64(1000)]),
+            _random_keys(rng, 200, space=5000) + np.uint64(10_000),
+            np.concatenate([shared, shared]),
+            np.empty(0, dtype=np.uint64),
+        ]
+        seg = SegmentedHashTable([64, 64, 64, 64])
+        seg.insert_flat(np.concatenate(segments), _offsets(segments))
+        return seg
+
+    # Small keys sort with their positions packed beside them; k = 31 keys
+    # leave no spare bits and take the argsort.
+    @pytest.mark.parametrize("key_base", [0, 2**61])
+    def test_duplicate_keys_across_ranks(self, key_base):
+        from repro.core.stages.standard import SpectrumMerge
+
+        from .claim_oracle import oracle_merge
+
+        rng = np.random.default_rng(32)
+        pairs = []
+        for _ in range(5):
+            keys = np.unique(_random_keys(rng, 400, space=700)) + np.uint64(key_base)
+            pairs.append((keys, rng.integers(1, 50, size=keys.shape[0]).astype(np.int64)))
+        spectrum = SpectrumMerge().merge_items(pairs, 15)
+        keys, counts = oracle_merge(pairs)
+        assert np.array_equal(spectrum.values, keys) and np.array_equal(spectrum.counts, counts)
+        # Disjoint partitions (no duplicates) take the no-reduce branch.
+        disjoint = [(k + np.uint64(1000 * i), c) for i, (k, c) in enumerate(pairs)]
+        spectrum = SpectrumMerge().merge_items(disjoint, 15)
+        keys, counts = oracle_merge(disjoint)
+        assert np.array_equal(spectrum.values, keys) and np.array_equal(spectrum.counts, counts)
+
+    def test_merge_tables_reads_whole_segmented_table_once(self, monkeypatch):
+        from repro.core.stages.standard import SpectrumMerge
+
+        from .claim_oracle import oracle_merge
+
+        seg = self._split_table()
+        keys, counts = oracle_merge([seg.items_of(r) for r in range(seg.n_ranks)])
+        assert counts[:150].tolist() == [3] * 150
+        assert SegmentedHashTable.of_views(seg.views()) is seg
+
+        def per_rank_read(self, rank):
+            raise AssertionError("per-rank items read on the plugin-free path")
+
+        monkeypatch.setattr(SegmentedHashTable, "items_of", per_rank_read)
+        spectrum = SpectrumMerge().merge_tables(seg.views(), 15)
+        assert np.array_equal(spectrum.values, keys) and np.array_equal(spectrum.counts, counts)
+
+    def test_partial_or_mixed_views_are_not_one_table(self):
+        seg = self._split_table()
+        views = seg.views()
+        assert SegmentedHashTable.of_views(views[:3]) is None
+        assert SegmentedHashTable.of_views(views[::-1]) is None
+        assert SegmentedHashTable.of_views(views[:3] + [DeviceHashTable(64)]) is None
+        assert SegmentedHashTable.of_views(views[:3] + [self._split_table().view(3)]) is None
+        assert SegmentedHashTable.of_views([]) is None
+
+    def test_bloom_plugin_merges_per_rank(self):
+        from repro.core.stages.standard import SpectrumMerge
+        from repro.ext.stages import BloomPrefilterPlugin
+
+        from .claim_oracle import oracle_merge
+
+        seg = self._split_table()
+        plugin = BloomPrefilterPlugin()
+        spectrum = SpectrumMerge((plugin,)).merge_tables(seg.views(), 15)
+        keys, counts = oracle_merge(
+            [plugin.adjust_merge_items(*seg.items_of(r)) for r in range(seg.n_ranks)]
+        )
+        assert np.array_equal(spectrum.values, keys) and np.array_equal(spectrum.counts, counts)
+        # Each of the two owners restores its arming occurrence: (1 + 1) + (2 + 1).
+        assert counts[:150].tolist() == [5] * 150
+
+    def test_plugins_see_each_rank_partition(self):
+        from repro.core.stages.standard import SpectrumMerge
+        from repro.ext.stages import BloomPrefilterPlugin
+
+        class Recording(BloomPrefilterPlugin):
+            def __init__(self):
+                super().__init__()
+                self.seen = []
+
+            def adjust_merge_items(self, values, counts):
+                self.seen.append(values.copy())
+                return super().adjust_merge_items(values, counts)
+
+        seg = self._split_table()
+        plugin = Recording()
+        SpectrumMerge((plugin,)).merge_tables(seg.views(), 15)
+        assert len(plugin.seen) == seg.n_ranks
+        for r, values in enumerate(plugin.seen):
+            assert np.array_equal(values, seg.items_of(r)[0])
+
+    def test_empty_tables(self):
+        from repro.core.stages.standard import SpectrumMerge
+
+        merge = SpectrumMerge()
+        for tables in ([], [DeviceHashTable(64), DeviceHashTable(64)], SegmentedHashTable([64, 64]).views()):
+            spectrum = merge.merge_tables(tables, 15)
+            assert spectrum.n_distinct == 0 and spectrum.n_total == 0
+            assert spectrum.values.dtype == np.uint64 and spectrum.counts.dtype == np.int64
+
+    def test_counts_are_int64(self):
+        from repro.core.stages.standard import SpectrumMerge
+
+        big = np.int64(2**40)
+        pairs = [
+            (np.array([7, 3], dtype=np.uint64), np.array([big, 1], dtype=np.int64)),
+            (np.array([7], dtype=np.uint64), np.array([5], dtype=np.int32)),
+        ]
+        spectrum = SpectrumMerge().merge_items(pairs, 15)
+        assert spectrum.counts.dtype == np.int64
+        assert spectrum.values.tolist() == [3, 7]
+        assert spectrum.counts.tolist() == [1, 2**40 + 5]
 
 
 def test_from_tables_preserves_layout_and_future_stats():

@@ -183,3 +183,79 @@ class TestValidation:
     def test_table_bytes(self):
         t = DeviceHashTable(64)
         assert t.table_bytes == t.capacity * 16  # 8B key + 8B count
+
+
+PROBINGS = ("linear", "quadratic", "double")
+
+
+def _assert_same_layout(fast: DeviceHashTable, ref: DeviceHashTable) -> None:
+    assert fast.capacity == ref.capacity
+    assert fast.n_entries == ref.n_entries
+    assert np.array_equal(fast.keys, ref.keys)
+    assert np.array_equal(fast.counts, ref.counts)
+
+
+class TestClaimOracle:
+    """The scatter-min claim winner against the ``np.unique`` winner rule.
+
+    Every observable must agree: slot layout, every ``InsertStats`` field,
+    and the telemetry families, the ``hashtable_probe_length`` histogram
+    included.
+    """
+
+    @staticmethod
+    def _both(batches, weights=None, **kw):
+        from .claim_oracle import OracleHashTable, run_inserts
+
+        fast, ref = DeviceHashTable(**kw), OracleHashTable(**kw)
+        fast_stats, fast_snap = run_inserts(fast, batches, weights)
+        ref_stats, ref_snap = run_inserts(ref, batches, weights)
+        assert fast_stats == ref_stats
+        assert fast_snap == ref_snap
+        assert fast_snap["hashtable_probe_length"]["samples"]
+        _assert_same_layout(fast, ref)
+        return fast_stats
+
+    @pytest.mark.parametrize("probing", PROBINGS)
+    def test_forced_contention(self, probing):
+        # Capacity 64 at load factor 0.9: 57 keys fill it to 0.89, so claims
+        # collide in most rounds and the winner decides the layout.
+        rng = np.random.default_rng(1)
+        keys = rng.choice(2**40, size=57, replace=False).astype(np.uint64)
+        assert DeviceHashTable(57, max_load_factor=0.9).capacity == 64
+        stats = self._both([keys], capacity_hint=57, max_load_factor=0.9, probing=probing, seed=3)
+        assert stats[0].cas_conflicts > 0 and stats[0].resizes == 0
+        assert stats[0].rounds > 3
+
+    @pytest.mark.parametrize("probing", PROBINGS)
+    def test_weights_and_duplicates(self, probing):
+        rng = np.random.default_rng(2)
+        batches = [rng.integers(0, 80, size=n).astype(np.uint64) for n in (120, 90)]
+        weights = [rng.integers(1, 9, size=b.shape[0]).astype(np.int64) for b in batches]
+        stats = self._both(batches, weights, capacity_hint=50, max_load_factor=0.9, probing=probing)
+        assert sum(s.cas_conflicts for s in stats) > 0
+
+    @pytest.mark.parametrize("probing", PROBINGS)
+    def test_resize_mid_batch(self, probing):
+        # The second and third batches overflow the table: it regrows (and
+        # rehashes through the same probe loop) before they are probed.
+        rng = np.random.default_rng(3)
+        batches = [rng.choice(2**30, size=n, replace=False).astype(np.uint64) for n in (57, 200, 700)]
+        stats = self._both(batches, capacity_hint=57, max_load_factor=0.9, probing=probing, seed=11)
+        assert [s.resizes for s in stats][1:] != [0, 0]
+
+    @given(
+        st.lists(st.lists(st.integers(0, 300), min_size=0, max_size=200), min_size=1, max_size=4),
+        st.sampled_from(PROBINGS),
+        st.sampled_from([0.5, 0.7, 0.9]),
+        st.integers(1, 100),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_batches(self, batches, probing, load, hint):
+        arrays = [np.array(b, dtype=np.uint64) for b in batches]
+        self._both(
+            [a for a in arrays if a.size] or [np.array([1], dtype=np.uint64)],
+            capacity_hint=hint,
+            max_load_factor=load,
+            probing=probing,
+        )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,44 @@ class TestCheckpointAccounting:
         np.savez_compressed(bad, **payload)
         with pytest.raises(ValueError, match="version"):
             counter.load(bad)
+
+
+    @pytest.mark.parametrize("damage", ["no-received", "no-timing", "bad-received", "truncated"])
+    def test_broken_checkpoint_leaves_state_untouched(self, batches, tmp_path, damage):
+        """Regression: load() replaced the tables before reading the other
+        fields, so a broken file left the counter half-restored."""
+        saved = DistributedCounter(summit_gpu(2), PipelineConfig(k=17))
+        saved.add_reads(batches[0])
+        path = saved.save(tmp_path / "c.npz")
+        bad = tmp_path / f"{damage}.npz"
+        if damage == "truncated":
+            raw = path.read_bytes()
+            bad.write_bytes(raw[: len(raw) // 2])
+        else:
+            with np.load(path) as data:
+                payload = {key: data[key] for key in data.files}
+            if damage == "bad-received":
+                payload["received"] = payload["received"][:1]
+            else:
+                del payload[damage.removeprefix("no-")]
+            np.savez_compressed(bad, **payload)
+
+        target = DistributedCounter(summit_gpu(2), PipelineConfig(k=17))
+        target.add_reads(batches[1])
+        tables = target.tables
+        items = [t.items() for t in tables]
+        timing, n_batches = target.timing, target.n_batches
+        received, stats = target.received_kmers.copy(), target.insert_stats
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            target.load(bad)
+        assert target.tables is tables
+        for table, (keys, counts) in zip(target.tables, items):
+            got_keys, got_counts = table.items()
+            assert np.array_equal(got_keys, keys) and np.array_equal(got_counts, counts)
+        assert target.timing == timing and target.n_batches == n_batches
+        assert np.array_equal(target.received_kmers, received)
+        assert target.insert_stats == stats
+        assert target.spectrum().n_total == target.total_kmers
 
 
 class TestBatchPluginOrdering:

@@ -232,6 +232,8 @@ class TestTracedRunsIdentical:
         pay = span_payload(traced.options.trace)
         batch_names = {s["name"] for s in pay if s["cat"] == "batch"}
         assert batch_names == {"batch0", "batch1"}
+        # The one spectrum() call above is the streamed run's merge.
+        assert [s["name"] for s in pay if s["cat"] == "stage" and s["name"] == "merge"] == ["merge"]
 
 
 class TestWallRowsAllStrategies:
@@ -511,6 +513,11 @@ class TestCliRoundTrip:
         payload = json.loads(trace.read_text())
         assert payload["metadata"]["schema"] == TRACE_SCHEMA
         assert payload["spans"]
+        merges = [s for s in payload["spans"] if s["cat"] == "stage" and s["name"] == "merge"]
+        assert len(merges) == 1
+        roots = [s for s in payload["spans"] if s["parent"] is None]
+        assert [(r["name"], r["cat"]) for r in roots] == [("count", "run")]
+        assert merges[0]["parent"] == roots[0]["id"]
         out_json = tmp_path / "analysis.json"
         capsys.readouterr()
         rc = main(["analyze", "--trace", str(trace), "--json", str(out_json)])
@@ -522,6 +529,31 @@ class TestCliRoundTrip:
         assert "dominant phase (model)" in out
         report = json.loads(out_json.read_text())
         assert report["critical_path"]["wall_s"] > 0
+
+    def test_streamed_inputs_form_one_tree(self, tmp_path, capsys):
+        """Every batch and the final merge sit under one root region, and
+        the analysis groups the batches' stages as one run's."""
+        from repro.cli import main
+
+        fastq = self._write_fastq(tmp_path)
+        trace = tmp_path / "trace.json"
+        rc = main(
+            ["count", "--input", str(fastq), str(fastq), "-k", "15", "--nodes", "2", "--trace", str(trace)]
+        )
+        assert rc == 0
+        spans = json.loads(trace.read_text())["spans"]
+        by_id = {s["id"]: s for s in spans}
+        roots = [s for s in spans if s["parent"] is None]
+        assert [(r["name"], r["cat"]) for r in roots] == [("count", "run")]
+        children = sorted((s["name"], s["cat"]) for s in spans if s["parent"] == roots[0]["id"])
+        assert children == [("batch0", "batch"), ("batch1", "batch"), ("merge", "stage")]
+        for s in spans:
+            if s["parent"] is not None:
+                parent = by_id[s["parent"]]
+                assert parent["start_s"] <= s["start_s"] + 1e-9 and s["end_s"] <= parent["end_s"] + 1e-9
+        paths = {st.path: st.n for st in phase_stragglers(spans)}
+        assert paths["parse"] == 2 * 12 and paths["merge"] == 1  # 2 batches x 12 ranks
+        assert not any(path.startswith("batch") for path in paths)
 
     def test_profile_folds_into_analyze(self, tmp_path, capsys):
         from repro.cli import main
