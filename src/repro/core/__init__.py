@@ -8,10 +8,9 @@ from .analysis import (
     theory_for,
 )
 from .config import PipelineConfig, paper_config
-from .cpu_model import CpuRates, power9_rates
+from ..machines import CpuRates, GpuPipelineModel, power9_rates
 from .driver import count_distributed, cpu_cluster, gpu_cluster, run_paper_comparison
 from .engine import EngineOptions, run_pipeline
-from .gpu_model import GpuPipelineModel
 from .incremental import DistributedCounter
 from .parallel import (
     RankPool,

@@ -72,7 +72,13 @@ class RankParse:
 
 @dataclass
 class ExchangeOutcome:
-    """All ranks' received buffers plus the exchange-phase time breakdown."""
+    """All ranks' received buffers plus the exchange-phase time breakdown.
+
+    When the payload lands elsewhere ``recv_data`` holds no resident
+    buffers: the fused layout's flat receive array travels beside it, and
+    the spool returns only the partition maps it checksummed (none when
+    the exchange is unverified).
+    """
 
     recv_data: list[np.ndarray]
     recv_lengths: list[np.ndarray] | None

@@ -70,10 +70,11 @@ class EngineOptions:
     # Extension stage plugins by registry name (e.g. ("bloom", "balanced"));
     # resolved through repro.core.stages.registry when the composition is built.
     stages: tuple[str, ...] = ()
-    # Fused whole-cluster execution (repro.core.stages.fused): None defers to
-    # the REPRO_FUSED environment variable.  Results are bit-identical to the
-    # staged path; compositions with custom stage types fall back to staged.
-    fused: bool | None = None
+    # Fused whole-cluster layout (repro.core.stages.fused): flat rank-
+    # segmented buffers and one segmented hash table.  Results are bit-
+    # identical to the staged layout; compositions with custom stage types
+    # fall back to staged.
+    fused: bool = False
     # Scratch-buffer pool shared across runs/sweep cells in fused mode; None
     # lets the scheduler create a private one per run.
     arena: ScratchArena | None = None
@@ -180,6 +181,11 @@ class StageContext:
         (``NetworkSpec.gpudirect``) get it without per-run flags.
         """
         return self.config.gpudirect or self.cluster.resolved_network.gpudirect
+
+    @property
+    def verifies(self) -> bool:
+        """Whether exchanges checksum their payload in this run."""
+        return self.verify if self.verify is not None else self.opts.verify_exchange
 
     @property
     def mult(self) -> float:

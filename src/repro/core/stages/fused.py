@@ -1,6 +1,6 @@
 """Fused whole-cluster supersteps: each stage runs once over all ranks.
 
-The staged scheduler executes every superstep as P independent per-rank
+The staged layout executes every superstep as P independent per-rank
 NumPy call sequences.  At fig6 scale (P = 96 simulated ranks, small
 per-rank shards) host wall time is dominated by array-dispatch overhead
 and allocation churn, not by the modeled work — the same observation
@@ -32,14 +32,16 @@ golden suite replays the full engine matrix with ``fused=True`` against
 the same golden file to enforce this.
 
 Compositions whose stages are not the standard classes (custom
-registered stages) fall back to the staged scheduler; plugin *hooks*
+registered stages) fall back to the staged layout; plugin *hooks*
 (bloom filter, balanced partition) are supported, since they act through
-the standard stage seams.
+the standard stage seams.  :class:`FusedLayout` is one of the two layouts
+the round driver (:mod:`repro.core.stages.scheduler`) runs; with a spool
+sink its partitions stream back into the segmented table one rank block
+at a time.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -53,13 +55,10 @@ from ...gpu.segmented import SegmentedHashTable
 from ...kmers.extract import window_values
 from ...kmers.supermers import build_supermers_with_positions, extract_kmers_from_packed
 from ...mpi.collectives import alltoallv_flat
-from ...mpi.stats import TrafficStats
 from ...telemetry import active
 from ..memory import ScratchArena
 from ..parallel import get_pool
-from ..results import CountResult, PhaseTiming
-from ..tracing import recording_region
-from .buffers import add_link_seconds
+from .buffers import ExchangeOutcome
 from .registry import StageComposition
 from .standard import (
     AlltoallvExchange,
@@ -73,12 +72,11 @@ from .standard import (
     TableCount,
     exchange_time_model,
     outgoing_buffer_hot_fraction,
+    verify_exchange,
 )
+from .spill import FUSED_SPILL_BLOCK_BYTES, _rank_blocks
 
-__all__ = ["ENV_VAR", "FusedPipeline", "resolve_fused", "supports_fusion"]
-
-#: Environment switch consulted when ``EngineOptions.fused`` is ``None``.
-ENV_VAR = "REPRO_FUSED"
+__all__ = ["FusedLayout", "supports_fusion"]
 
 #: Extraction kernels (window packing, minimizer scans, supermer builds)
 #: are multi-pass: they materialize several full-array intermediates per
@@ -88,23 +86,6 @@ ENV_VAR = "REPRO_FUSED"
 #: every pass's working set in L2.  128Ki bases ≈ 1-2 MB of intermediates
 #: per pass (swept on the benchmark host; see docs/PERFORMANCE.md).
 PARSE_BLOCK_BASES = 1 << 17
-
-_ON = frozenset({"1", "on", "true", "yes", "auto", "fused"})
-_OFF = frozenset({"", "0", "off", "false", "no", "none"})
-
-
-def resolve_fused(setting: bool | None) -> bool:
-    """Resolve the fused switch: explicit option, else ``REPRO_FUSED``."""
-    if setting is not None:
-        return bool(setting)
-    raw = os.environ.get(ENV_VAR, "")
-    value = raw.strip().lower()
-    if value in _ON:
-        return True
-    if value in _OFF:
-        return False
-    raise ValueError(f"{ENV_VAR}={raw!r} not understood (use on/off)")
-
 
 def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
     """Concatenate block outputs (empty-safe, no copy for a single part)."""
@@ -132,9 +113,9 @@ def _shard_blocks(code_base: np.ndarray, target: int) -> list[tuple[int, int]]:
 def supports_fusion(comp: StageComposition) -> bool:
     """Whether a composition consists solely of the standard stage types.
 
-    The fused path re-implements the standard stages' data flow; a
+    The fused layout re-implements the standard stages' data flow; a
     composition carrying a *custom* stage class must keep the staged
-    scheduler (its semantics are unknown here).  Plugins are fine: they
+    layout (its semantics are unknown here).  Plugins are fine: they
     act through the standard seams (per-rank receive filter, merge
     adjustment, partition override), all of which the fused path honours.
     """
@@ -160,20 +141,35 @@ class _FusedParse:
     supermer_bases: np.ndarray  # int64 per rank
     times: np.ndarray  # float64 per rank: modeled parse seconds
 
-    @property
-    def total_kmers(self) -> int:
-        return int(self.n_kmers.sum())
 
+class FusedLayout:
+    """Whole-cluster layout: flat rank-segmented buffers, one segmented table.
 
-class FusedPipeline:
-    """Fused execution engine bound to one :class:`RoundScheduler`."""
+    Each superstep runs once over all ranks on the driving thread, so its
+    wall rows are rank-0 spans named ``fused:*`` — distinct from the staged
+    layout's per-rank rows, which these blocks are *not* (one block covers
+    all ranks' work at once).  Large temporaries come from the scheduler's
+    :class:`~repro.core.memory.ScratchArena`.
+    """
+
+    name, prefix = "fused", "fused:"
+    pool = None  # supersteps run on the driving thread; parse blocks pick their own pool
 
     def __init__(self, scheduler) -> None:
         self.sched = scheduler
-        opts = scheduler.opts
-        self.arena = opts.arena if opts.arena is not None else ScratchArena()
+        self.arena: ScratchArena = scheduler.arena
 
     # -- parse phase -------------------------------------------------
+
+    def parse(self, shards: list[ReadSet], sctx) -> _FusedParse:
+        t0 = perf_counter()
+        fp = self._parse(shards, sctx)
+        if sctx.recorder is not None:
+            sctx.recorder.record("fused:parse", 0, t0, perf_counter())
+        return fp
+
+    def release(self, fp: _FusedParse) -> None:
+        self.arena.release(fp.data, fp.lengths)
 
     def _parse(self, shards: list[ReadSet], sctx) -> _FusedParse:
         comp = self.sched.comp
@@ -390,30 +386,37 @@ class FusedPipeline:
         )
         return data, lengths, round_counts, True
 
-    def _exchange(
-        self,
-        send_flat: np.ndarray,
-        send_lengths: np.ndarray | None,
-        round_counts: np.ndarray,
-        label: str,
-        sctx,
-    ) -> tuple[
-        np.ndarray,
-        np.ndarray | None,
-        np.ndarray,
-        float,
-        float,
-        float,
-        tuple[tuple[str, float], ...],
-    ]:
-        """One fused exchange round; mirrors ``AlltoallvExchange.exchange``."""
-        wire = sctx.wire_bytes
+    round_send = _round_gather
+
+    def done_sending(self, send) -> None:
+        if send[3]:  # a multi-round gather borrowed from the arena
+            self.arena.release(send[0], send[1])
+
+    def segments(self, send):
+        """Per-source views of a src-major flat send round (the spool's input)."""
+        flat, lengths, counts, _ = send
+        base = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts.sum(axis=1), out=base[1:])
+
+        def views(buf):
+            return None if buf is None else [buf[base[s] : base[s + 1]] for s in range(counts.shape[0])]
+
+        return views(flat), views(lengths), list(counts)
+
+    def exchange(self, send, label: str, sctx) -> tuple[ExchangeOutcome, tuple]:
+        """One fused exchange round; mirrors ``AlltoallvExchange.exchange``.
+
+        The received items stay one flat (dst, src)-major array: the
+        outcome carries the accounting and ``(shuffled, lengths,
+        dst_offsets)`` travels to :meth:`count` on the side.
+        """
+        send_flat, send_lengths, round_counts, _ = send
         shuffled, dst_offsets = alltoallv_flat(
             send_flat,
             round_counts,
             stats=sctx.stats,
             label=label,
-            bytes_per_item=wire,
+            bytes_per_item=sctx.wire_bytes,
             arena=self.arena,
         )
         shuffled_lengths: np.ndarray | None = None
@@ -421,11 +424,20 @@ class FusedPipeline:
             shuffled_lengths, _ = alltoallv_flat(
                 send_lengths, round_counts, stats=None, arena=self.arena  # bytes counted in `wire`
             )
-        do_verify = sctx.verify if sctx.verify is not None else sctx.opts.verify_exchange
-        if do_verify:
-            _verify_flat(send_flat, shuffled, round_counts, label)
+        if sctx.verifies:
+            # XOR and item count are order-free: the flat buffers check as one rank each.
+            verify_exchange([send_flat], [shuffled], round_counts, label)
         seconds, t_a2av, t_stage, links = exchange_time_model(round_counts, sctx)
-        return shuffled, shuffled_lengths, dst_offsets, seconds, t_a2av, t_stage, links
+        outcome = ExchangeOutcome(
+            recv_data=[],
+            recv_lengths=None,
+            counts_matrix=round_counts,
+            seconds=seconds,
+            alltoallv_seconds=t_a2av,
+            staging_seconds=t_stage,
+            link_seconds=links,
+        )
+        return outcome, (shuffled, shuffled_lengths, dst_offsets)
 
     # -- count phase -------------------------------------------------
 
@@ -548,262 +560,86 @@ class FusedPipeline:
                 )
         return times, n_seen, stats
 
-    # -- one-shot run ------------------------------------------------
+    # -- tables and the count phase ------------------------------------
 
-    def run_once(self, reads: ReadSet, recorder, reg) -> CountResult:
-        from .scheduler import _rounds_for_recv_items  # local import avoids a cycle
+    def fresh_tables(self, hints: list[int], *, spooled: bool) -> SegmentedHashTable:
+        return SegmentedHashTable(hints, seed=self.sched.config.table_seed, table_dir=self.sched.opts.table_dir)
 
-        sched = self.sched
-        comp = sched.comp
-        config = sched.config
-        opts = sched.opts
-        p = sched.cluster.n_ranks
-        mult = opts.work_multiplier
-        stats = TrafficStats()
-        sctx = sched._context(None, stats, recorder, reg)
-
-        shards = sched._shard(reads)
-
-        # The fused path executes each superstep as one whole-cluster block
-        # on the driving thread, so wall rows are rank-0 spans named
-        # ``fused:*`` — distinct from the staged path's per-rank rows, which
-        # these blocks are *not* (one block covers all ranks' work at once).
-        with recording_region(recorder, "parse", cat="stage"):
-            t0 = perf_counter()
-            fp = self._parse(shards, sctx)
-            if recorder is not None:
-                recorder.record("fused:parse", 0, t0, perf_counter())
-        t_parse = float(fp.times.max()) if p else 0.0
-        total_parsed_kmers = fp.total_kmers
-
-        wire = sctx.wire_bytes
-        supermer_mode = sctx.supermer_mode
-        recv_items = fp.counts_matrix.sum(axis=0).astype(np.float64)
-        n_rounds = max(
-            config.n_rounds, _rounds_for_recv_items(recv_items, wire, mult, opts, comp.backend)
-        )
-
-        table = SegmentedHashTable(
-            [max(64, int(nk) // max(p, 1) + 16) for nk in fp.n_kmers],
-            seed=config.table_seed,
-            table_dir=opts.table_dir,
-        )
-        received_kmers = np.zeros(p, dtype=np.int64)
-        per_rank_count = np.zeros(p, dtype=np.float64)
-        t_exchange = 0.0
-        t_alltoallv = 0.0
-        staging_total = 0.0
-        link_totals: dict[str, float] = {}
-        counts_matrix_total = np.zeros((p, p), dtype=np.int64)
-        insert_total = InsertStats.zero()
-
-        for rnd in range(n_rounds):
-            with recording_region(recorder, f"round{rnd}", cat="round", round=rnd):
-                send_flat, send_lengths, round_counts, round_owned = self._round_gather(
-                    fp, rnd, n_rounds
-                )
-                label = f"{config.mode}-exchange" + (f"-round{rnd}" if n_rounds > 1 else "")
-                exch_name = "fused:exchange" + (f"-round{rnd}" if n_rounds > 1 else "")
-                n_traffic_before = len(stats.records)
-                with recording_region(recorder, "exchange", cat="stage", round=rnd) as ereg:
-                    t0 = perf_counter()
-                    shuffled, shuffled_lengths, dst_offsets, seconds, t_a2av, t_stage, links = (
-                        self._exchange(send_flat, send_lengths, round_counts, label, sctx)
-                    )
-                    if recorder is not None:
-                        recorder.record(exch_name, 0, t0, perf_counter())
-                    if ereg is not None:
-                        ereg.note(
-                            label=label,
-                            traffic_records=[n_traffic_before, len(stats.records)],
-                            items=int(round_counts.sum()),
-                            model_seconds=seconds,
-                            link_seconds=dict(links),
-                        )
-                if round_owned:
-                    self.arena.release(send_flat, send_lengths)
-                counts_matrix_total += round_counts
-                t_exchange += seconds
-                t_alltoallv += t_a2av
-                staging_total += t_stage
-                add_link_seconds(link_totals, links)
-                if reg is not None:
-                    backend = comp.backend
-                    reg.counter(
-                        "exchange_rounds_total", "Exchange/count rounds executed", engine=backend
-                    ).inc()
-                    reg.counter(
-                        "exchange_model_seconds_total",
-                        "Modeled exchange seconds (overhead + network + staging)",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(seconds)
-                    reg.counter(
-                        "alltoallv_model_seconds_total",
-                        "Modeled MPI_Alltoallv routine seconds",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(t_a2av)
-                    reg.counter(
-                        "staging_model_seconds_total",
-                        "Modeled host<->device staging seconds",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(t_stage)
-                    reg.counter(
-                        "exchange_items_round_total",
-                        "Items exchanged per round",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(int(round_counts.sum()))
-
-                count_label = "fused:count" + (f"-round{rnd}" if n_rounds > 1 else "")
-                with recording_region(recorder, "count", cat="stage", round=rnd):
-                    t0 = perf_counter()
-                    times, n_seen, ins_list = self._count(
-                        table, shuffled, shuffled_lengths, dst_offsets, sctx
-                    )
-                    if recorder is not None:
-                        recorder.record(count_label, 0, t0, perf_counter())
-                self.arena.release(shuffled, shuffled_lengths)
-                per_rank_count += times
-                received_kmers += n_seen
-                for ins in ins_list:
-                    insert_total = insert_total.combined(ins)
-
-        self.arena.release(fp.data, fp.lengths)
-        t_count = float(per_rank_count.max()) if p else 0.0
-
-        with recording_region(recorder, "merge", cat="stage"):
-            t0 = perf_counter()
-            spectrum = comp.merge.merge_tables(table.views(), config.k)
-            if recorder is not None:
-                recorder.record("fused:merge", 0, t0, perf_counter())
-        if comp.conserves_kmers and spectrum.n_total != total_parsed_kmers:
-            raise AssertionError(
-                f"pipeline lost k-mers: parsed {total_parsed_kmers}, counted {spectrum.n_total}"
-            )
-
-        exchanged_items = int(counts_matrix_total.sum())
-        supermer_bases = int(fp.supermer_bases.sum())
-        n_supermers = int(fp.n_supermers.sum())
-        if reg is not None:
-            backend = comp.backend
-            for r in range(p):
-                reg.gauge("hashtable_entries", "Distinct keys per rank partition", rank=r).set(
-                    int(table.n_entries_per_rank[r])
-                )
-                reg.gauge("hashtable_load_factor", "Final load factor per rank", rank=r).set(
-                    int(table.n_entries_per_rank[r]) / int(table.capacities[r])
-                )
-            reg.counter("kmers_parsed_total", "k-mer instances parsed", engine=backend).inc(
-                total_parsed_kmers
-            )
-            if n_supermers:
-                reg.counter("supermers_total", "Supermers built", engine=backend).inc(n_supermers)
-                reg.counter("supermer_bases_total", "Bases covered by supermers", engine=backend).inc(
-                    supermer_bases
-                )
-        table.close()  # reclaims the mmap slab files when table_dir is set
-        return CountResult(
-            config=config,
-            cluster=sched.cluster,
-            backend=comp.backend,
-            spectrum=spectrum,
-            timing=PhaseTiming(parse=t_parse, exchange=t_exchange, count=t_count),
-            per_rank_parse=fp.times.copy(),
-            per_rank_count=per_rank_count,
-            received_kmers=received_kmers,
-            exchanged_items=exchanged_items,
-            exchanged_bytes=int(exchanged_items * wire),
-            counts_matrix=counts_matrix_total,
-            work_multiplier=mult,
-            traffic=stats,
-            insert_stats=insert_total,
-            mean_supermer_length=(supermer_bases / n_supermers) if n_supermers else 0.0,
-            staging_seconds=staging_total,
-            alltoallv_seconds=t_alltoallv,
-            link_seconds=tuple(link_totals.items()),
-            n_rounds_used=n_rounds,
-        )
-
-    # -- streamed batches --------------------------------------------
-
-    def run_batch(self, reads: ReadSet, state) -> PhaseTiming:
-        sched = self.sched
-        config = sched.config
-        p = sched.cluster.n_ranks
-        recorder = sched.opts.span_recorder
-        sctx = sched._context(None, state.traffic, recorder, None, verify=False)
-
-        # Prepare before sharding, matching the one-shot and staged paths.
-        sched._prepare_plugins(reads)
-        shards = sched._shard(reads)
-        with recording_region(recorder, "parse", cat="stage"):
-            t0 = perf_counter()
-            fp = self._parse(shards, sctx)
-            if recorder is not None:
-                recorder.record("fused:parse", 0, t0, perf_counter())
-        t_parse = float(fp.times.max()) if p else 0.0
-
-        label = f"{config.mode}-batch{state.n_batches}"
-        n_traffic_before = len(state.traffic.records)
-        with recording_region(recorder, "exchange", cat="stage") as ereg:
-            t0 = perf_counter()
-            shuffled, shuffled_lengths, dst_offsets, seconds, _t_a2av, _t_stage, _links = (
-                self._exchange(fp.data, fp.lengths, fp.counts_matrix, label, sctx)
-            )
-            if recorder is not None:
-                recorder.record("fused:exchange", 0, t0, perf_counter())
-            if ereg is not None:
-                ereg.note(
-                    label=label,
-                    traffic_records=[n_traffic_before, len(state.traffic.records)],
-                    items=int(fp.counts_matrix.sum()),
-                    model_seconds=seconds,
-                )
-
-        table = state.fused_table
-        if table is None:
+    def state_tables(self, state) -> SegmentedHashTable:
+        if state.fused_table is None:
             # Adopt the per-rank tables layout-verbatim, so a state that
             # already counted staged batches continues bit-identically.
-            table = SegmentedHashTable.from_tables(state.tables, table_dir=sched.opts.table_dir)
-            state.fused_table = table
-            state.tables = table.views()
+            state.fused_table = SegmentedHashTable.from_tables(state.tables, table_dir=self.sched.opts.table_dir)
+            state.tables = state.fused_table.views()
+        return state.fused_table
 
-        with recording_region(recorder, "count", cat="stage"):
-            t0 = perf_counter()
-            times, n_seen, ins_list = self._count(
-                table, shuffled, shuffled_lengths, dst_offsets, sctx
-            )
-            if recorder is not None:
-                recorder.record("fused:count", 0, t0, perf_counter())
-        self.arena.release(shuffled, shuffled_lengths, fp.data, fp.lengths)
-        for r in range(p):
-            state.received_kmers[r] += int(n_seen[r])
-            state.insert_stats = state.insert_stats.combined(ins_list[r])
-        batch_timing = PhaseTiming(
-            parse=t_parse, exchange=seconds, count=float(times.max()) if p else 0.0
-        )
-        state.timing = state.timing.add(batch_timing)
-        state.exchanged_items += int(fp.counts_matrix.sum())
-        state.n_batches += 1
-        return batch_timing
+    def count(self, recv, table: SegmentedHashTable, sctx, row: str, tally) -> None:
+        shuffled, shuffled_lengths, dst_offsets = recv
+        t0 = perf_counter()
+        times, n_seen, stats = self._count(table, shuffled, shuffled_lengths, dst_offsets, sctx)
+        if sctx.recorder is not None:
+            sctx.recorder.record(row, 0, t0, perf_counter())
+        self.arena.release(shuffled, shuffled_lengths)
+        tally.counted(0, times, n_seen, stats)
 
+    def stream(self, spool, labels: list[str], tally, table: SegmentedHashTable, hints, sctx) -> None:
+        """Stream spooled partitions into ``table`` one rank block at a time.
 
-def _verify_flat(
-    send_flat: np.ndarray, recv_flat: np.ndarray, counts_matrix: np.ndarray, label: str
-) -> None:
-    """Flat-buffer form of :func:`repro.core.stages.standard.verify_exchange`.
+        For every consecutive rank block (sized by partition bytes against
+        :data:`~repro.core.stages.spill.FUSED_SPILL_BLOCK_BYTES`) and every
+        round label, the block's partitions are read back into one
+        contiguous arena buffer and counted via :meth:`_count` restricted
+        to the block (``rank_range``).  Rounds run innermost so each rank
+        sees its rounds in order (identical float accumulation); with
+        slot-disjoint table regions and a commutative InsertStats monoid,
+        (block, round) iteration reduces to the (round, all-ranks) totals.
+        """
+        supermer_mode = sctx.supermer_mode
+        n_rounds = len(labels)
+        arena = self.arena
+        recorder = sctx.recorder
+        round_recv = [cm.sum(axis=0) for cm in tally.round_counts]
+        recv_per_rank = np.sum(round_recv, axis=0)
+        item_bytes = 9 if supermer_mode else 8  # 8 B payload + 1 B length
+        for r0, r1 in _rank_blocks(recv_per_rank * item_bytes, FUSED_SPILL_BLOCK_BYTES):
+            nb = r1 - r0
+            for rnd, label in enumerate(labels):
+                suffix = f"-round{rnd}" if n_rounds > 1 else ""
+                total = int(round_recv[rnd][r0:r1].sum())
+                t0 = perf_counter()
+                shuffled = arena.take(total, np.uint64)
+                shuffled_lengths = arena.take(total, np.uint8) if supermer_mode else None
+                dst_offsets = np.zeros(nb + 1, dtype=np.int64)
+                pos = 0
+                for i, r in enumerate(range(r0, r1)):
+                    part = spool.read_partition(label, r, np.uint64, out=shuffled[pos:])
+                    if supermer_mode:
+                        spool.read_partition(label, r, np.uint8, lens=True, out=shuffled_lengths[pos:])
+                    pos += int(part.shape[0])
+                    dst_offsets[i + 1] = pos
+                if recorder is not None:
+                    recorder.record("spill:read" + suffix, r0, t0, perf_counter())
+                t0 = perf_counter()
+                times, n_seen, ins_list = self._count(
+                    table,
+                    shuffled[:pos],
+                    shuffled_lengths[:pos] if supermer_mode else None,
+                    dst_offsets,
+                    sctx,
+                    rank_range=(r0, r1),
+                )
+                if recorder is not None:
+                    recorder.record("fused:count" + suffix, r0, t0, perf_counter())
+                arena.release(shuffled, shuffled_lengths)
+                tally.counted(r0, times, n_seen, ins_list)
+            for r in range(r0, r1):
+                for label in labels:
+                    spool.drop_partitions(label, r)
 
-    XOR is commutative/associative, so the reductions over the flat
-    arrays equal the staged per-rank reductions' combination.
-    """
-    sent_items = int(counts_matrix.sum())
-    recv_items = int(recv_flat.shape[0])
-    if sent_items != recv_items:
-        raise AssertionError(f"exchange {label!r} lost items: sent {sent_items}, received {recv_items}")
-    sent_xor = np.bitwise_xor.reduce(send_flat.view(np.uint64)) if send_flat.size else np.uint64(0)
-    recv_xor = np.bitwise_xor.reduce(recv_flat.view(np.uint64)) if recv_flat.size else np.uint64(0)
-    if sent_xor != recv_xor:
-        raise AssertionError(f"exchange {label!r} corrupted payload (checksum mismatch)")
+    def merge(self, table: SegmentedHashTable, spool, k: int):
+        """The run's spectrum, its wall-row name and per-rank table gauges."""
+        views = table.views()
+        spectrum = self.sched.comp.merge.merge_tables(views, k)
+        gauges = [(t.n_entries, t.load_factor) for t in views]
+        table.close()  # reclaims the mmap slab files when table_dir is set
+        return spectrum, "fused:merge", gauges

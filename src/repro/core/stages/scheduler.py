@@ -1,7 +1,8 @@
-"""The round scheduler: memory-bounded multi-round execution of a composition.
+"""The round scheduler: one driver for every execution strategy.
 
-This is the single owner of the parse → exchange → count → merge loop.
-Every execution surface drives it:
+This is the single owner of the parse → exchange → count → merge loop
+(Algorithm 1, repeated in rounds when the data exceeds memory, Section
+III-A).  Every execution surface drives it:
 
 * :func:`repro.core.engine.run_pipeline` builds a composition and calls
   :meth:`RoundScheduler.run` (one-shot run, full :class:`CountResult`);
@@ -11,11 +12,22 @@ Every execution surface drives it:
 * the SPMD rank programs (:mod:`repro.core.stages.spmd`) reuse the same
   stage objects inside per-rank threads.
 
+Both entry points run one loop, :meth:`RoundScheduler._drive`, with two
+seams picked once per run by :meth:`RoundScheduler._plan`:
+
+* **layout** — :class:`StagedLayout` (per-rank :class:`RankParse`
+  buffers and :class:`DeviceHashTable` partitions, ranks mapped over the
+  pool) or :class:`~repro.core.stages.fused.FusedLayout` (rank-segmented
+  flat buffers and one :class:`~repro.gpu.segmented.SegmentedHashTable`);
+* **sink** — memory (each round is exchanged and counted) or spool (every
+  round's partitions land in a :class:`~repro.core.stages.spill.SpillSpool`,
+  then stream back one rank, or one rank block, at a time).
+
 Execution is bulk-synchronous: every rank's phase runs to completion (as
 real NumPy work), per-rank model times are derived from the work actually
 performed, and the phase's bulk time is the max over ranks.  When the
-modeled per-round working set exceeds device memory (``auto_rounds``), or
-the config asks for ``n_rounds > 1``, each destination segment is split
+modeled per-round working set exceeds device or host memory, or the
+config asks for ``n_rounds > 1``, each destination segment is split
 evenly across rounds (Section III-A) and the exchange + count phases repeat.
 
 Checkpoint/resume is a scheduler concern: :class:`PipelineState` carries
@@ -37,21 +49,24 @@ from time import perf_counter
 
 import numpy as np
 
-from ...gpu.hashtable import DeviceHashTable, InsertStats
 from ...dna.reads import ReadSet
+from ...gpu.hashtable import DeviceHashTable, InsertStats
 from ...mpi.costmodel import CommCostModel
 from ...mpi.stats import CollectiveRecord, TrafficStats
 from ...mpi.topology import ClusterSpec
 from ...telemetry import MetricRegistry, event, session
 from ..config import PipelineConfig
-from ..parallel import get_pool
+from ..memory import ScratchArena
+from ..parallel import RankPool, get_pool
 from ..results import CountResult, PhaseTiming
 from ..tracing import WallClockRecorder, recording_region
-from .buffers import RankParse, add_link_seconds
+from .buffers import ExchangeOutcome, RankParse, add_link_seconds
 from .context import EngineOptions, StageContext
+from .fused import FusedLayout, supports_fusion
 from .registry import StageComposition
+from .spill import SpillExchange, SpillSpool, external_merge, supports_spill
 
-__all__ = ["RoundScheduler", "PipelineState"]
+__all__ = ["RoundScheduler", "PipelineState", "StagedLayout"]
 
 #: Version 2 adds ``insert_stats`` and the traffic record log to version
 #: 1's tables/timing/volume layout; :meth:`PipelineState.load` accepts both.
@@ -90,7 +105,7 @@ class PipelineState:
     exchanged_items: int
     n_batches: int
     insert_stats: InsertStats
-    # Set by the fused engine on first use: the SegmentedHashTable whose
+    # Set by the fused layout on first use: the SegmentedHashTable whose
     # per-rank views then populate ``tables``.  Reset on checkpoint load.
     fused_table: object | None = None
 
@@ -214,6 +229,205 @@ def _read_checkpoint(data, *, k: int, n_ranks: int, table_seed: int) -> Pipeline
     )
 
 
+#: Run-span ``strategy`` of each (layout, spool sink) cell.
+_STRATEGIES = {
+    ("staged", False): "staged",
+    ("fused", False): "fused",
+    ("staged", True): "spill",
+    ("fused", True): "fused-spill",
+}
+
+
+class _Tally:
+    """The accumulators every round folds into, on every path."""
+
+    def __init__(self, p: int) -> None:
+        self.exchange_s = 0.0
+        self.alltoallv_s = 0.0
+        self.staging_s = 0.0
+        self.link_totals: dict[str, float] = {}
+        self.counts_matrix = np.zeros((p, p), dtype=np.int64)
+        self.round_counts: list[np.ndarray] = []
+        self.per_rank_count = np.zeros(p, dtype=np.float64)
+        self.received = np.zeros(p, dtype=np.int64)
+        self.insert = InsertStats.zero()
+
+    def exchanged(self, outcome: ExchangeOutcome, rnd: int, reg: MetricRegistry | None, backend: str) -> None:
+        self.counts_matrix += outcome.counts_matrix
+        self.round_counts.append(outcome.counts_matrix)
+        self.exchange_s += outcome.seconds
+        self.alltoallv_s += outcome.alltoallv_seconds
+        self.staging_s += outcome.staging_seconds
+        add_link_seconds(self.link_totals, outcome.link_seconds)
+        if reg is None:
+            return
+        reg.counter("exchange_rounds_total", "Exchange/count rounds executed", engine=backend).inc()
+        for name, help_text, value in (
+            ("exchange_model_seconds_total", "Modeled exchange seconds (overhead + network + staging)", outcome.seconds),
+            ("alltoallv_model_seconds_total", "Modeled MPI_Alltoallv routine seconds", outcome.alltoallv_seconds),
+            ("staging_model_seconds_total", "Modeled host<->device staging seconds", outcome.staging_seconds),
+            ("exchange_items_round_total", "Items exchanged per round", int(outcome.counts_matrix.sum())),
+        ):
+            reg.counter(name, help_text, engine=backend, round=rnd).inc(value)
+
+    def counted(self, r0: int, times, n_seen, stats: list[InsertStats]) -> None:
+        """Fold the count outcomes of ranks ``r0 .. r0 + len(stats)`` for one round."""
+        r1 = r0 + len(stats)
+        self.per_rank_count[r0:r1] += times
+        self.received[r0:r1] += n_seen
+        for ins in stats:
+            self.insert = self.insert.combined(ins)
+
+
+class _RankParses:
+    """The staged layout's parse output: one :class:`RankParse` per rank."""
+
+    def __init__(self, ranks: list[RankParse]) -> None:
+        self.ranks = ranks
+        self.times = np.array([pr.time_s for pr in ranks])
+        self.n_kmers = np.array([pr.n_kmers_parsed for pr in ranks], dtype=np.int64)
+        self.counts_matrix = np.array([pr.counts for pr in ranks], dtype=np.int64)
+        self.n_supermers = sum(pr.n_supermers for pr in ranks)
+        self.supermer_bases = sum(pr.supermer_bases for pr in ranks)
+
+
+class StagedLayout:
+    """Per-rank buffers and :class:`DeviceHashTable` partitions, ranks mapped over the pool.
+
+    Every per-rank closure touches only its own shard, receive buffer and
+    table partition, so any substrate may run ranks concurrently; results
+    come back in rank order and fold bit-identically to a sequential loop.
+    A closure returns its table alongside the outcome: an out-of-process
+    worker mutates a copy-on-write clone, so the grown table must travel
+    back (a no-op reassignment in-process).
+    """
+
+    name, prefix = "staged", ""
+
+    def __init__(self, sched: "RoundScheduler", pool: RankPool) -> None:
+        self.comp = sched.comp
+        self.p = sched.cluster.n_ranks
+        self.seed = sched.config.table_seed
+        self.supermer = sched.config.mode == "supermer"
+        self.pool = pool
+
+    def parse(self, shards: list[ReadSet], sctx: StageContext) -> _RankParses:
+        comp, recorder = self.comp, sctx.recorder
+
+        def _parse_one(r: int) -> RankParse:
+            t0 = perf_counter()
+            out = comp.substrate.parse_rank(shards[r], comp.parse, comp.partition, sctx)
+            if recorder is not None:
+                recorder.record("parse", r, t0, perf_counter())
+            return out
+
+        return _RankParses(self.pool.map(_parse_one, range(self.p), recorder=recorder))
+
+    def round_send(self, parsed: _RankParses, rnd: int, n_rounds: int):
+        rows = [_round_slice(pr, rnd, n_rounds) for pr in parsed.ranks]
+        lengths = [row[1] for row in rows] if self.supermer else None
+        return [row[0] for row in rows], lengths, [row[2] for row in rows]
+
+    def segments(self, send):
+        return send
+
+    def exchange(self, send, label: str, sctx: StageContext):
+        outcome = self.comp.exchange.exchange(*send, label, sctx)
+        return outcome, outcome
+
+    def done_sending(self, send) -> None:
+        pass
+
+    def release(self, parsed: _RankParses) -> None:
+        pass
+
+    def fresh_tables(self, hints: list[int], *, spooled: bool) -> list[DeviceHashTable] | None:
+        # A spooled run counts each rank into a transient table that is
+        # dumped as a sorted run, so no partition outlives its stream.
+        if spooled:
+            return None
+        return [DeviceHashTable(capacity_hint=h, seed=self.seed) for h in hints]
+
+    def state_tables(self, state: PipelineState) -> list[DeviceHashTable]:
+        return state.tables
+
+    def count(self, recv: ExchangeOutcome, tables, sctx: StageContext, row: str, tally: _Tally) -> None:
+        comp, recorder = self.comp, sctx.recorder
+        recv_data, recv_lengths = recv.recv_data, recv.recv_lengths
+
+        def _count_one(r: int):
+            lengths_r = recv_lengths[r] if recv_lengths is not None else None
+            t0 = perf_counter()
+            out = comp.substrate.count_rank(r, recv_data[r], lengths_r, tables[r], comp.count, sctx)
+            if recorder is not None:
+                recorder.record(row, r, t0, perf_counter())
+            return [out], tables[r]
+
+        self._fold(self.pool.map(_count_one, range(self.p), recorder=recorder), tables, tally)
+
+    def stream(self, spool: SpillSpool, labels: list[str], tally: _Tally, tables, hints, sctx):
+        """Count the spooled partitions one rank at a time, rounds innermost.
+
+        Each rank's stream is private in memory (its own table) and on
+        disk (its own partition and run files), so peak residency per
+        worker is one rank's partition plus its table.  Without persistent
+        ``tables`` the finished partition is dumped as a sorted run for
+        :func:`external_merge`; the per-rank ``(entries, load)`` gauges
+        are returned.
+        """
+        comp, recorder = self.comp, sctx.recorder
+        n_rounds = len(labels)
+
+        def _stream_one(r: int):
+            table = tables[r] if tables is not None else DeviceHashTable(capacity_hint=hints[r], seed=self.seed)
+            outcomes = []
+            for rnd, label in enumerate(labels):
+                recv = spool.read_partition(label, r, np.uint64)
+                lengths = spool.read_partition(label, r, np.uint8, lens=True) if self.supermer else None
+                t0 = perf_counter()
+                outcomes.append(comp.substrate.count_rank(r, recv, lengths, table, comp.count, sctx))
+                if recorder is not None:
+                    recorder.record("count" + _round_suffix(rnd, n_rounds), r, t0, perf_counter())
+                spool.release(recv, lengths)
+            for label in labels:
+                spool.drop_partitions(label, r)
+            if tables is not None:
+                return outcomes, table
+            t0 = perf_counter()
+            values, counts = table.items()
+            for plugin in comp.merge.plugins:
+                values, counts = plugin.adjust_merge_items(values, counts)
+            if values.size > 1 and not np.all(values[1:] > values[:-1]):
+                order = np.argsort(values, kind="stable")
+                values, counts = values[order], counts[order]
+            spool.write_run(r, values, counts)
+            if recorder is not None:
+                recorder.record("spill:run-write", r, t0, perf_counter())
+            return outcomes, (table.n_entries, table.load_factor)
+
+        return self._fold(self.pool.map(_stream_one, range(self.p), recorder=recorder), tables, tally)
+
+    @staticmethod
+    def _fold(results, tables, tally: _Tally):
+        """Fold per-rank ``(outcomes, table)`` results in (rank, round) order."""
+        dumped = []
+        for r, (outcomes, table) in enumerate(results):
+            for co in outcomes:
+                tally.counted(r, [co.time_s], [co.n_instances], [co.insert_stats])
+            if tables is not None:
+                tables[r] = table
+            else:
+                dumped.append(table)
+        return dumped if tables is None else None
+
+    def merge(self, tables, spool: SpillSpool | None, k: int):
+        """The run's spectrum, its wall-row name and per-rank table gauges."""
+        if tables is None:  # the stream left one sorted run per rank on disk
+            return external_merge([spool.map_run(r) for r in range(self.p)], k), "spill:merge", None
+        gauges = [(t.n_entries, t.load_factor) for t in tables]
+        return self.comp.merge.merge_tables(tables, k), "merge", gauges
+
+
 class RoundScheduler:
     """Drives one stage composition through rounds on a rank pool."""
 
@@ -229,12 +443,11 @@ class RoundScheduler:
         self.comp = composition
         self.opts = opts
         self.comm_model = CommCostModel(cluster)
+        # Scratch buffers of the fused layout and the spool, recycled across
+        # rounds and batches.
+        self.arena = opts.arena if opts.arena is not None else ScratchArena()
         self._prepared = False
-        self._fused_impl = None
-        self._fused_checked = False
-        self._spill_impl = None
-        self._spill_checked = False
-        self._process_fallback_announced = False
+        self._announced: set[str] = set()
 
     # -- shared helpers ------------------------------------------------------
 
@@ -252,96 +465,51 @@ class RoundScheduler:
         for plugin in self.comp.plugins:
             plugin.prepare(reads, self.config, self.cluster, self.opts)
 
-    def _fused(self):
-        """The fused pipeline for this scheduler, or ``None`` (staged path).
+    def _fallback(self, kind: str, reason: str) -> None:
+        """Announce an ``engine.<kind>.fallback`` event, once per scheduler."""
+        if kind not in self._announced:
+            self._announced.add(kind)
+            event(f"engine.{kind}.fallback", subsystem="engine", backend=self.comp.backend, reason=reason)
 
-        Resolved once: ``opts.fused`` (or ``REPRO_FUSED``) must be on AND the
-        composition must consist of the standard stage types the fused path
-        re-implements.  A fused request over a custom composition falls back
-        to the staged scheduler with an event, never an error — results are
-        identical either way.
+    def _plan(self) -> tuple["StagedLayout | FusedLayout", bool]:
+        """Pick the run's layout and whether its partitions spool to disk.
+
+        Each request the composition cannot honour falls back, with an
+        event, to a path whose results are identical — never an error:
+
+        * ``spill_dir`` over a custom exchange/merge stage counts in memory
+          (``engine.spill.fallback``);
+        * ``fused`` over any custom stage uses the staged layout
+          (``engine.fused.fallback``);
+        * ``table_dir`` under the staged layout keeps the per-rank tables
+          resident (``engine.table.fallback``);
+        * a process substrate under the staged layout with stateful
+          count/merge plugins (the bloom filter mutates inside the count
+          closures and is read again at merge time) runs on an equally
+          wide thread pool, so the side effects happen in the driving
+          process (``engine.process.fallback``).
         """
-        if not self._fused_checked:
-            self._fused_checked = True
-            from .fused import FusedPipeline, resolve_fused, supports_fusion
-
-            if resolve_fused(self.opts.fused):
-                if supports_fusion(self.comp):
-                    self._fused_impl = FusedPipeline(self)
-                else:
-                    event(
-                        "engine.fused.fallback",
-                        subsystem="engine",
-                        backend=self.comp.backend,
-                        reason="composition has custom stages; using staged path",
-                    )
-        return self._fused_impl
-
-    def _spill(self):
-        """The out-of-core pipeline for this scheduler, or ``None``.
-
-        Resolved once: ``opts.spill_dir`` must be set AND the composition's
-        exchange/merge must be the standard classes whose semantics the
-        spill path mirrors (:func:`repro.core.stages.spill.supports_spill`).
-        A simultaneous fused request selects the blocked fused×spill
-        composition when every stage is the standard fusable type;
-        otherwise the staged spill loop runs (with the usual fused-fallback
-        event).  A spill request over a custom exchange/merge composition
-        falls back to the in-memory scheduler with an event, never an
-        error.  Results are identical on every path.
-        """
-        if not self._spill_checked:
-            self._spill_checked = True
-            if self.opts.spill_dir is not None:
-                from .fused import resolve_fused, supports_fusion
-                from .spill import FusedSpillPipeline, SpillPipeline, supports_spill
-
-                fused_on = resolve_fused(self.opts.fused)
-                if not supports_spill(self.comp):
-                    event(
-                        "engine.spill.fallback",
-                        subsystem="engine",
-                        backend=self.comp.backend,
-                        reason="composition has custom exchange/merge stages; counting in memory",
-                    )
-                elif fused_on and supports_fusion(self.comp):
-                    self._spill_impl = FusedSpillPipeline(self)
-                else:
-                    if fused_on:
-                        event(
-                            "engine.fused.fallback",
-                            subsystem="engine",
-                            backend=self.comp.backend,
-                            reason="composition has custom stages; spilling via the staged loop",
-                        )
-                    self._spill_impl = SpillPipeline(self)
-        return self._spill_impl
-
-    def _pool(self):
-        """The resolved execution substrate for this scheduler's runs.
-
-        Compositions with stateful count/merge plugins (e.g. the bloom
-        prefilter, whose filter state mutates inside the per-rank count
-        closures and is read again at merge time) need those side effects
-        to happen in the driving process, so a process substrate falls
-        back to an equally wide thread pool with an event.  Results are
-        bit-identical either way — the thread pool honours the same
-        determinism contract — only the execution placement changes.
-        """
-        pool = get_pool(self.opts.parallel)
+        comp, opts = self.comp, self.opts
+        spool = opts.spill_dir is not None
+        if spool and not supports_spill(comp):
+            self._fallback("spill", "composition has custom exchange/merge stages; counting in memory")
+            spool = False
+        if opts.fused:
+            if supports_fusion(comp):
+                return FusedLayout(self), spool
+            then = "spilling via the staged loop" if spool else "using staged path"
+            self._fallback("fused", f"composition has custom stages; {then}")
+        if opts.table_dir is not None:
+            self._fallback(
+                "table", "table_dir applies to the fused segmented table; per-rank tables stay resident"
+            )
+        pool = get_pool(opts.parallel)
         if not pool.in_process and (
-            getattr(self.comp.count, "plugins", ()) or getattr(self.comp.merge, "plugins", ())
+            getattr(comp.count, "plugins", ()) or getattr(comp.merge, "plugins", ())
         ):
-            if not self._process_fallback_announced:
-                self._process_fallback_announced = True
-                event(
-                    "engine.process.fallback",
-                    subsystem="engine",
-                    backend=self.comp.backend,
-                    reason="composition has stateful plugins; using the thread substrate",
-                )
+            self._fallback("process", "composition has stateful plugins; using the thread substrate")
             pool = get_pool(f"thread:{pool.workers}")
-        return pool
+        return StagedLayout(self, pool), spool
 
     def _context(
         self,
@@ -364,7 +532,7 @@ class RoundScheduler:
             verify=verify,
         )
 
-    # -- one-shot run (the classic engine surface) ---------------------------
+    # -- the two entry points ------------------------------------------------
 
     def run(self, reads: ReadSet) -> CountResult:
         """Run the composition over ``reads`` and return its full result.
@@ -392,32 +560,18 @@ class RoundScheduler:
             ranks=self.cluster.n_ranks,
             reads=reads.n_reads,
         )
-        spill = self._spill()
-        strategy = (
-            spill.strategy
-            if spill is not None
-            else ("fused" if self._fused() is not None else "staged")
-        )
-        if opts.table_dir is not None and strategy in ("staged", "spill"):
-            # The mmap-backed table is a SegmentedHashTable feature; the
-            # per-rank DeviceHashTables of these strategies stay resident.
-            event(
-                "engine.table.fallback",
-                subsystem="engine",
-                backend=self.comp.backend,
-                reason="table_dir applies to the fused segmented table; per-rank tables stay resident",
-            )
+        layout, spool = self._plan()
         ctx = session(reg) if reg is not None else nullcontext()
         with ctx, recording_region(
             recorder,
             "run",
             cat="run",
-            strategy=strategy,
+            strategy=_STRATEGIES[layout.name, spool],
             backend=self.comp.backend,
             mode=self.config.mode,
             ranks=self.cluster.n_ranks,
         ):
-            result = self._run_once(reads, recorder, reg)
+            result = self._drive(reads, layout, spool, recorder, reg)
         if reg is not None:
             _record_run_metrics(reg, result, recorder)
         event(
@@ -430,204 +584,6 @@ class RoundScheduler:
             rounds=result.n_rounds_used,
         )
         return result
-
-    def _run_once(
-        self, reads: ReadSet, recorder: WallClockRecorder | None, reg: MetricRegistry | None
-    ) -> CountResult:
-        spill = self._spill()
-        if spill is not None:
-            return spill.run_once(reads, recorder, reg)
-        fused = self._fused()
-        if fused is not None:
-            return fused.run_once(reads, recorder, reg)
-        comp = self.comp
-        config = self.config
-        opts = self.opts
-        p = self.cluster.n_ranks
-        mult = opts.work_multiplier
-        stats = TrafficStats()
-        pool = self._pool()
-        sctx = self._context(pool, stats, recorder, reg)
-
-        # ---- input partitioning (the paper's parallel I/O; Section IV-D) ----
-        shards = self._shard(reads)
-
-        # ---- phase 1: parse (& build supermers) per rank ----
-        # Each rank's parse touches only its own shard and builds rank-private
-        # outputs, so the pool may run ranks concurrently; results come back in
-        # rank order and are bit-identical to the sequential loop.
-        def _parse_one(r: int) -> RankParse:
-            t0 = perf_counter()
-            out = comp.substrate.parse_rank(shards[r], comp.parse, comp.partition, sctx)
-            if recorder is not None:
-                recorder.record("parse", r, t0, perf_counter())
-            return out
-
-        with recording_region(recorder, "parse", cat="stage"):
-            parsed: list[RankParse] = pool.map(_parse_one, range(p), recorder=recorder)
-        t_parse = max(pr.time_s for pr in parsed)
-        total_parsed_kmers = sum(pr.n_kmers_parsed for pr in parsed)
-
-        # ---- phases 2+3: exchange and count, possibly in multiple rounds ----
-        wire = sctx.wire_bytes
-        supermer_mode = sctx.supermer_mode
-        n_rounds = max(config.n_rounds, _rounds_for_memory(parsed, p, wire, mult, opts, comp.backend))
-        tables = [
-            DeviceHashTable(
-                capacity_hint=max(64, pr.n_kmers_parsed // max(p, 1) + 16), seed=config.table_seed
-            )
-            for pr in parsed
-        ]
-        received_kmers = np.zeros(p, dtype=np.int64)
-        per_rank_count = np.zeros(p, dtype=np.float64)
-        t_exchange = 0.0
-        t_alltoallv = 0.0
-        staging_total = 0.0
-        link_totals: dict[str, float] = {}
-        counts_matrix_total = np.zeros((p, p), dtype=np.int64)
-        insert_total = InsertStats.zero()
-
-        for rnd in range(n_rounds):
-            with recording_region(recorder, f"round{rnd}", cat="round", round=rnd):
-                round_send = [_round_slice(pr, rnd, n_rounds) for pr in parsed]
-                send_data = [rs[0] for rs in round_send]
-                send_lengths = [rs[1] for rs in round_send] if supermer_mode else None
-                send_counts = [rs[2] for rs in round_send]
-                label = f"{config.mode}-exchange" + (f"-round{rnd}" if n_rounds > 1 else "")
-                exch_name = "exchange" + (f"-round{rnd}" if n_rounds > 1 else "")
-                n_traffic_before = len(stats.records)
-                with recording_region(recorder, "exchange", cat="stage", round=rnd) as ereg:
-                    t0x = perf_counter()
-                    outcome = comp.exchange.exchange(send_data, send_lengths, send_counts, label, sctx)
-                    if recorder is not None:
-                        recorder.record(exch_name, 0, t0x, perf_counter())
-                    if ereg is not None:
-                        # Causal link: the traffic records this collective appended.
-                        ereg.note(
-                            label=label,
-                            traffic_records=[n_traffic_before, len(stats.records)],
-                            items=int(outcome.counts_matrix.sum()),
-                            model_seconds=outcome.seconds,
-                            link_seconds=dict(outcome.link_seconds),
-                        )
-                counts_matrix_total += outcome.counts_matrix
-                t_exchange += outcome.seconds
-                t_alltoallv += outcome.alltoallv_seconds
-                staging_total += outcome.staging_seconds
-                add_link_seconds(link_totals, outcome.link_seconds)
-                if reg is not None:
-                    backend = comp.backend
-                    reg.counter("exchange_rounds_total", "Exchange/count rounds executed", engine=backend).inc()
-                    reg.counter(
-                        "exchange_model_seconds_total",
-                        "Modeled exchange seconds (overhead + network + staging)",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(outcome.seconds)
-                    reg.counter(
-                        "alltoallv_model_seconds_total",
-                        "Modeled MPI_Alltoallv routine seconds",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(outcome.alltoallv_seconds)
-                    reg.counter(
-                        "staging_model_seconds_total",
-                        "Modeled host<->device staging seconds",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(outcome.staging_seconds)
-                    reg.counter(
-                        "exchange_items_round_total",
-                        "Items exchanged per round",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(int(outcome.counts_matrix.sum()))
-
-                # ---- count phase ----
-                # Rank r's count touches only recv_data[r] and its own table
-                # partition, so ranks run concurrently; the stats reduction below
-                # stays in rank order (pool.map returns results in input order) so
-                # the combined InsertStats is identical to the sequential engine's.
-                # The closure returns the table alongside the outcome: an
-                # out-of-process worker mutates a copy-on-write clone, so the
-                # grown table must travel back (a no-op reassignment in-process).
-                count_label = "count" + (f"-round{rnd}" if n_rounds > 1 else "")
-                recv_data, recv_lengths = outcome.recv_data, outcome.recv_lengths
-
-                def _count_one(r: int):
-                    lengths_r = recv_lengths[r] if recv_lengths is not None else None
-                    t0 = perf_counter()
-                    out = comp.substrate.count_rank(r, recv_data[r], lengths_r, tables[r], comp.count, sctx)
-                    if recorder is not None:
-                        recorder.record(count_label, r, t0, perf_counter())
-                    return out, tables[r]
-
-                with recording_region(recorder, "count", cat="stage", round=rnd):
-                    counted = pool.map(_count_one, range(p), recorder=recorder)
-                for r, (co, table) in enumerate(counted):
-                    tables[r] = table
-                    per_rank_count[r] += co.time_s
-                    received_kmers[r] += co.n_instances
-                    insert_total = insert_total.combined(co.insert_stats)
-
-        t_count = float(per_rank_count.max()) if p else 0.0
-
-        # ---- merge the partitioned global table into one spectrum ----
-        with recording_region(recorder, "merge", cat="stage"):
-            t0m = perf_counter()
-            spectrum = comp.merge.merge_tables(tables, config.k)
-            if recorder is not None:
-                recorder.record("merge", 0, t0m, perf_counter())
-        if comp.conserves_kmers and spectrum.n_total != total_parsed_kmers:
-            raise AssertionError(
-                f"pipeline lost k-mers: parsed {total_parsed_kmers}, counted {spectrum.n_total}"
-            )
-
-        exchanged_items = int(counts_matrix_total.sum())
-        supermer_bases = sum(pr.supermer_bases for pr in parsed)
-        n_supermers = sum(pr.n_supermers for pr in parsed)
-        if reg is not None:
-            backend = comp.backend
-            # Recorded here (not in the hash table) because only the engine knows
-            # the rank index; plain Gauge.set is safe from this ordered loop.
-            for r, table in enumerate(tables):
-                reg.gauge("hashtable_entries", "Distinct keys per rank partition", rank=r).set(
-                    table.n_entries
-                )
-                reg.gauge("hashtable_load_factor", "Final load factor per rank", rank=r).set(
-                    table.load_factor
-                )
-            reg.counter("kmers_parsed_total", "k-mer instances parsed", engine=backend).inc(
-                total_parsed_kmers
-            )
-            if n_supermers:
-                reg.counter("supermers_total", "Supermers built", engine=backend).inc(n_supermers)
-                reg.counter("supermer_bases_total", "Bases covered by supermers", engine=backend).inc(
-                    supermer_bases
-                )
-        return CountResult(
-            config=config,
-            cluster=self.cluster,
-            backend=comp.backend,
-            spectrum=spectrum,
-            timing=PhaseTiming(parse=t_parse, exchange=t_exchange, count=t_count),
-            per_rank_parse=np.array([pr.time_s for pr in parsed]),
-            per_rank_count=per_rank_count,
-            received_kmers=received_kmers,
-            exchanged_items=exchanged_items,
-            exchanged_bytes=int(exchanged_items * wire),
-            counts_matrix=counts_matrix_total,
-            work_multiplier=mult,
-            traffic=stats,
-            insert_stats=insert_total,
-            mean_supermer_length=(supermer_bases / n_supermers) if n_supermers else 0.0,
-            staging_seconds=staging_total,
-            alltoallv_seconds=t_alltoallv,
-            link_seconds=tuple(link_totals.items()),
-            n_rounds_used=n_rounds,
-        )
-
-    # -- streamed batches (the incremental counter surface) ------------------
 
     def run_batch(self, reads: ReadSet, state: PipelineState) -> PhaseTiming:
         """Fold one batch of reads into ``state``; returns the batch timing.
@@ -653,91 +609,184 @@ class RoundScheduler:
         with recording_region(
             recorder, f"batch{state.n_batches}", cat="batch", batch=state.n_batches
         ):
-            spill = self._spill()
-            if spill is not None:
-                return spill.run_batch(reads, state)
-            fused = self._fused()
-            if fused is not None:
-                return fused.run_batch(reads, state)
-            return self._run_batch_staged(reads, state, recorder)
+            layout, spool = self._plan()
+            # Plugins prepare before sharding, exactly as `run` does: a
+            # plugin whose `prepare` influences partitioning must see the
+            # same state on the streamed path as on the one-shot path.
+            self._prepare_plugins(reads)
+            return self._drive(reads, layout, spool, recorder, None, state)
 
-    def _run_batch_staged(
-        self, reads: ReadSet, state: PipelineState, recorder: WallClockRecorder | None
-    ) -> PhaseTiming:
-        comp = self.comp
-        config = self.config
+    # -- the round driver ----------------------------------------------------
+
+    def _drive(self, reads, layout, spool_on: bool, recorder, reg, state: PipelineState | None = None):
+        """Parse, then exchange and count in rounds, then merge (Algorithm 1).
+
+        A one-shot run (``state is None``) counts into fresh tables, sizes
+        its rounds to the memory budgets, labels each exchange by round,
+        verifies it, feeds ``reg`` and merges into a :class:`CountResult`.
+        A streamed batch counts one round into ``state``'s tables,
+        unverified, and returns its :class:`PhaseTiming`.
+
+        With the spool sink every round's partitions go to disk first; the
+        parse output is released before they stream back into the tables.
+        """
+        comp, config, opts = self.comp, self.config, self.opts
         p = self.cluster.n_ranks
-        pool = self._pool()
-        sctx = self._context(pool, state.traffic, recorder, None, verify=False)
+        once = state is None
+        stats = TrafficStats() if once else state.traffic
+        sctx = self._context(layout.pool, stats, recorder, reg, verify=None if once else False)
+        spool = SpillSpool(Path(opts.spill_dir), arena=self.arena) if spool_on else None
+        try:
+            # ---- phase 1: parse (& build supermers) on every rank's shard ----
+            shards = self._shard(reads)
+            with recording_region(recorder, "parse", cat="stage"):
+                parsed = layout.parse(shards, sctx)
+            per_rank_parse = parsed.times
+            total_kmers = int(parsed.n_kmers.sum())
+            n_supermers = int(np.sum(parsed.n_supermers))
+            supermer_bases = int(np.sum(parsed.supermer_bases))
+            hints = [max(64, int(nk) // max(p, 1) + 16) for nk in parsed.n_kmers]
+            n_rounds = 1
+            if once:
+                recv_items = parsed.counts_matrix.sum(axis=0).astype(np.float64)
+                n_rounds = max(
+                    config.n_rounds,
+                    _rounds_for_recv_items(recv_items, sctx.wire_bytes, sctx.mult, opts, comp.backend),
+                )
 
-        # Plugins prepare before sharding, exactly as `run` does: a plugin
-        # whose `prepare` influences partitioning must see the same state on
-        # the streamed path as on the one-shot path.
-        self._prepare_plugins(reads)
-        shards = self._shard(reads)
+            def acquire_tables():
+                if once:
+                    return layout.fresh_tables(hints, spooled=spool is not None)
+                return layout.state_tables(state)
 
-        # Same parallel rank-execution contract as the one-shot run: pool.map
-        # keeps rank order, each closure touches rank-private state only,
-        # so batches fold in bit-identically to the sequential loop.
-        def _parse_one(r: int) -> RankParse:
+            # ---- phases 2+3: exchange (or spool) and count, in rounds ----
+            tables = acquire_tables() if spool is None else None
+            tally = _Tally(p)
+            labels = []
+            for rnd in range(n_rounds):
+                suffix = _round_suffix(rnd, n_rounds)
+                labels.append(
+                    f"{config.mode}-exchange{suffix}" if once else f"{config.mode}-batch{state.n_batches}"
+                )
+                meta = {"round": rnd} if once else {}
+                region = (
+                    recording_region(recorder, f"round{rnd}", cat="round", round=rnd)
+                    if once
+                    else nullcontext()
+                )
+                with region:
+                    self._round(layout, parsed, rnd, n_rounds, labels[-1], meta, spool, tables, sctx, tally)
+
+            # The send buffers are consumed: free them before the spool
+            # streams back, so peak residency is one rank (block) + tables.
+            layout.release(parsed)
+            del parsed
+            gauges = None
+            if spool is not None:
+                tables = acquire_tables()
+                with recording_region(recorder, "count", cat="stage"):
+                    gauges = layout.stream(spool, labels, tally, tables, hints, sctx)
+
+            t_parse = float(per_rank_parse.max()) if p else 0.0
+            t_count = float(tally.per_rank_count.max()) if p else 0.0
+            if not once:
+                batch_timing = PhaseTiming(parse=t_parse, exchange=tally.exchange_s, count=t_count)
+                state.timing = state.timing.add(batch_timing)
+                state.received_kmers += tally.received
+                state.insert_stats = state.insert_stats.combined(tally.insert)
+                state.exchanged_items += int(tally.counts_matrix.sum())
+                state.n_batches += 1
+                return batch_timing
+
+            # ---- phase 4: merge the partitioned global table into one spectrum ----
+            with recording_region(recorder, "merge", cat="stage"):
+                t0 = perf_counter()
+                spectrum, row, table_gauges = layout.merge(tables, spool, config.k)
+                if recorder is not None:
+                    recorder.record(row, 0, t0, perf_counter())
+            gauges = table_gauges if gauges is None else gauges
+            if comp.conserves_kmers and spectrum.n_total != total_kmers:
+                raise AssertionError(f"pipeline lost k-mers: parsed {total_kmers}, counted {spectrum.n_total}")
+        except BaseException:
+            if spool is not None:
+                spool.close(failed=True)
+            raise
+        finally:
+            if spool is not None:
+                spool.close()
+
+        exchanged_items = int(tally.counts_matrix.sum())
+        if reg is not None:
+            backend = comp.backend
+            # Recorded here (not in the hash table) because only the engine knows
+            # the rank index; plain Gauge.set is safe from this ordered loop.
+            for r, (entries, load) in enumerate(gauges):
+                reg.gauge("hashtable_entries", "Distinct keys per rank partition", rank=r).set(entries)
+                reg.gauge("hashtable_load_factor", "Final load factor per rank", rank=r).set(load)
+            reg.counter("kmers_parsed_total", "k-mer instances parsed", engine=backend).inc(total_kmers)
+            if n_supermers:
+                reg.counter("supermers_total", "Supermers built", engine=backend).inc(n_supermers)
+                reg.counter("supermer_bases_total", "Bases covered by supermers", engine=backend).inc(
+                    supermer_bases
+                )
+        return CountResult(
+            config=config,
+            cluster=self.cluster,
+            backend=comp.backend,
+            spectrum=spectrum,
+            timing=PhaseTiming(parse=t_parse, exchange=tally.exchange_s, count=t_count),
+            per_rank_parse=per_rank_parse,
+            per_rank_count=tally.per_rank_count,
+            received_kmers=tally.received,
+            exchanged_items=exchanged_items,
+            exchanged_bytes=int(exchanged_items * sctx.wire_bytes),
+            counts_matrix=tally.counts_matrix,
+            work_multiplier=sctx.mult,
+            traffic=stats,
+            insert_stats=tally.insert,
+            mean_supermer_length=(supermer_bases / n_supermers) if n_supermers else 0.0,
+            staging_seconds=tally.staging_s,
+            alltoallv_seconds=tally.alltoallv_s,
+            link_seconds=tuple(tally.link_totals.items()),
+            n_rounds_used=n_rounds,
+        )
+
+    def _round(self, layout, parsed, rnd, n_rounds, label, meta, spool, tables, sctx, tally) -> None:
+        """Route round ``rnd``'s slice of every send buffer, then count or spool it."""
+        recorder = sctx.recorder
+        suffix = _round_suffix(rnd, n_rounds)
+        send = layout.round_send(parsed, rnd, n_rounds)
+        n_traffic_before = len(sctx.stats.records)
+        with recording_region(recorder, "exchange", cat="stage", **meta) as ereg:
             t0 = perf_counter()
-            out = comp.substrate.parse_rank(shards[r], comp.parse, comp.partition, sctx)
+            if spool is None:
+                outcome, recv = layout.exchange(send, label, sctx)
+                row = layout.prefix + "exchange"
+            else:
+                outcome, recv = SpillExchange(spool).exchange(*layout.segments(send), label, sctx), None
+                row = "spill:spool"
             if recorder is not None:
-                recorder.record("parse", r, t0, perf_counter())
-            return out
-
-        with recording_region(recorder, "parse", cat="stage"):
-            parsed = pool.map(_parse_one, range(p), recorder=recorder)
-        t_parse = max(pr.time_s for pr in parsed)
-
-        supermer_mode = sctx.supermer_mode
-        label = f"{config.mode}-batch{state.n_batches}"
-        n_traffic_before = len(state.traffic.records)
-        with recording_region(recorder, "exchange", cat="stage") as ereg:
-            t0x = perf_counter()
-            outcome = comp.exchange.exchange(
-                [pr.data for pr in parsed],
-                [pr.lengths for pr in parsed] if supermer_mode else None,
-                [pr.counts for pr in parsed],
-                label,
-                sctx,
-            )
-            if recorder is not None:
-                recorder.record("exchange", 0, t0x, perf_counter())
+                recorder.record(row + suffix, 0, t0, perf_counter())
             if ereg is not None:
+                # Causal link: the traffic records this collective appended.
                 ereg.note(
                     label=label,
-                    traffic_records=[n_traffic_before, len(state.traffic.records)],
+                    traffic_records=[n_traffic_before, len(sctx.stats.records)],
                     items=int(outcome.counts_matrix.sum()),
                     model_seconds=outcome.seconds,
+                    link_seconds=dict(outcome.link_seconds),
                 )
-        recv_data, recv_lengths = outcome.recv_data, outcome.recv_lengths
+        layout.done_sending(send)
+        tally.exchanged(outcome, rnd, sctx.registry, self.comp.backend)
+        if recv is not None:
+            with recording_region(recorder, "count", cat="stage", **meta):
+                layout.count(recv, tables, sctx, layout.prefix + "count" + suffix, tally)
 
-        # As in the one-shot run: the mutated table partition travels back
-        # with the outcome so out-of-process workers fold in correctly.
-        def _count_one(r: int):
-            lengths_r = recv_lengths[r] if recv_lengths is not None else None
-            t0 = perf_counter()
-            out = comp.substrate.count_rank(r, recv_data[r], lengths_r, state.tables[r], comp.count, sctx)
-            if recorder is not None:
-                recorder.record("count", r, t0, perf_counter())
-            return out, state.tables[r]
 
-        per_rank_count = np.zeros(p, dtype=np.float64)
-        with recording_region(recorder, "count", cat="stage"):
-            counted = pool.map(_count_one, range(p), recorder=recorder)
-        for r, (co, table) in enumerate(counted):
-            state.tables[r] = table
-            per_rank_count[r] = co.time_s
-            state.received_kmers[r] += co.n_instances
-            state.insert_stats = state.insert_stats.combined(co.insert_stats)
-        batch_timing = PhaseTiming(
-            parse=t_parse, exchange=outcome.seconds, count=float(per_rank_count.max()) if p else 0.0
-        )
-        state.timing = state.timing.add(batch_timing)
-        state.exchanged_items += int(outcome.counts_matrix.sum())
-        state.n_batches += 1
-        return batch_timing
+def _round_suffix(rnd: int, n_rounds: int) -> str:
+    """The ``-round{rnd}`` suffix of labels and wall rows in multi-round runs."""
+    return f"-round{rnd}" if n_rounds > 1 else ""
+
 
 
 def _record_run_metrics(
@@ -819,34 +868,17 @@ def _round_slice(pr: RankParse, rnd: int, n_rounds: int) -> tuple[np.ndarray, np
     return data, lengths, counts
 
 
-def _rounds_for_memory(
-    parsed: list[RankParse], p: int, wire: int, mult: float, opts: EngineOptions, backend: str
+def _rounds_for_recv_items(
+    recv_items: np.ndarray, wire: int, mult: float, opts: EngineOptions, backend: str
 ) -> int:
     """Rounds needed so every rank's round working set fits its memory budgets.
 
     Models Section III-A: "Depending on the total size of the input,
     relative to software limits (approximating available memory), the
-    computation and communication may proceed in multiple rounds."  The
-    per-rank working set of one round is its received wire buffer plus the
-    growing hash table (keys + counts per distinct key, bounded by received
-    instances), evaluated at full (multiplied) scale.
-    """
-    recv_items = np.zeros(p, dtype=np.float64)
-    for pr in parsed:
-        recv_items += pr.counts
-    return _rounds_for_recv_items(recv_items, wire, mult, opts, backend)
-
-
-def _rounds_for_recv_items(
-    recv_items: np.ndarray, wire: int, mult: float, opts: EngineOptions, backend: str
-) -> int:
-    """Core of :func:`_rounds_for_memory` on per-rank received-item totals.
-
-    Shared by every execution path — the fused engine derives
-    ``recv_items`` from the counts-matrix column sums (the same values,
-    exactly, since the int64 column sums convert to float64 losslessly
-    below 2**53), and the spill path calls it with the staged inputs — so
-    ``n_rounds_used`` is bit-identical across paths.  Two independent
+    computation and communication may proceed in multiple rounds."
+    ``recv_items`` are the per-rank received-item totals (the counts
+    matrix's column sums, exact in float64 below 2**53), evaluated at
+    full (multiplied) scale.  Two independent
     budgets apply: the modeled device-HBM budget (``auto_rounds``, GPU
     substrate only, as before) and the *host* budget
     (``opts.host_memory_budget``, any substrate), which bounds one round's

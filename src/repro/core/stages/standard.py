@@ -251,14 +251,14 @@ def exchange_time_model(
 ) -> tuple[float, float, float, tuple[tuple[str, float], ...]]:
     """Model one exchange round's ``(seconds, alltoallv_s, staging_s, links)``.
 
-    Shared verbatim between the staged :class:`AlltoallvExchange`, the
-    fused engine, and the spill engine so all three compute the identical
-    floats: fixed overhead + network time (hierarchical alltoallv plus the
-    small counts alltoall) + host staging copies (skipped under GPUDirect,
-    whether from the run config or the machine's network knob).  ``links``
-    is the per-link ``(name, seconds)`` breakdown from the routed
-    alltoallv, with host staging appended as its own ``host-staging`` link
-    row when it applies.
+    Shared verbatim between :class:`AlltoallvExchange` (and its spool
+    twin) and the fused layout's flat exchange, so all compute the
+    identical floats: fixed overhead + network time (hierarchical
+    alltoallv plus the small counts alltoall) + host staging copies
+    (skipped under GPUDirect, whether from the run config or the
+    machine's network knob).  ``links`` is the per-link ``(name,
+    seconds)`` breakdown from the routed alltoallv, with host staging
+    appended as its own ``host-staging`` link row when it applies.
     """
     bytes_matrix = counts_matrix.astype(np.float64) * ctx.wire_bytes * ctx.mult
     timing = ctx.comm_model.alltoallv(bytes_matrix)
@@ -283,7 +283,9 @@ class AlltoallvExchange:
 
     Moves the data (real reshuffle through the collective layer), checks
     end-to-end checksums, and models the phase time through
-    :func:`exchange_time_model`.
+    :func:`exchange_time_model`.  :meth:`deliver` is the only step that
+    decides where received bytes land, so a transport that puts them
+    elsewhere (the disk spool) overrides just that.
     """
 
     def exchange(
@@ -294,19 +296,9 @@ class AlltoallvExchange:
         label: str,
         ctx: StageContext,
     ) -> ExchangeOutcome:
-        wire = ctx.wire_bytes
-        recv_data, counts_matrix = alltoallv_segments(
-            send_data, send_counts, stats=ctx.stats, label=label, bytes_per_item=wire, pool=ctx.pool
-        )
-        recv_lengths: list[np.ndarray] | None = None
-        if send_lengths is not None:
-            recv_lengths, _ = alltoallv_segments(
-                send_lengths, send_counts, stats=None, pool=ctx.pool  # bytes counted in `wire`
-            )
-        do_verify = ctx.verify if ctx.verify is not None else ctx.opts.verify_exchange
-        if do_verify:
+        recv_data, recv_lengths, counts_matrix = self.deliver(send_data, send_lengths, send_counts, label, ctx)
+        if ctx.verifies:
             verify_exchange(send_data, recv_data, counts_matrix, label)
-
         seconds, t_a2av, t_stage, links = exchange_time_model(counts_matrix, ctx)
         return ExchangeOutcome(
             recv_data=recv_data,
@@ -317,6 +309,25 @@ class AlltoallvExchange:
             staging_seconds=t_stage,
             link_seconds=links,
         )
+
+    def deliver(
+        self,
+        send_data: list[np.ndarray],
+        send_lengths: list[np.ndarray] | None,
+        send_counts: list[np.ndarray],
+        label: str,
+        ctx: StageContext,
+    ) -> tuple[list[np.ndarray], list[np.ndarray] | None, np.ndarray]:
+        """Route the payload; returns ``(recv_data, recv_lengths, counts_matrix)``."""
+        recv_data, counts_matrix = alltoallv_segments(
+            send_data, send_counts, stats=ctx.stats, label=label, bytes_per_item=ctx.wire_bytes, pool=ctx.pool
+        )
+        recv_lengths: list[np.ndarray] | None = None
+        if send_lengths is not None:
+            recv_lengths, _ = alltoallv_segments(
+                send_lengths, send_counts, stats=None, pool=ctx.pool  # bytes counted in `wire`
+            )
+        return recv_data, recv_lengths, counts_matrix
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 """Kernel calibration rates: CPU per-core throughputs and GPU per-item ops.
 
-Canonical home of :class:`CpuRates` (previously ``repro.core.cpu_model``)
-and :class:`GpuPipelineModel` (previously ``repro.core.gpu_model``); both
-old modules re-export from here so existing imports keep working.  Moving
+Home of :class:`CpuRates` and :class:`GpuPipelineModel`.  Keeping
 them below the substrates lets one :class:`repro.machines.MachineSpec`
 carry the complete calibration of a machine — topology, device, and kernel
 rates — in one declarative object.

@@ -2,7 +2,7 @@
 
 Covers the scratch-buffer arena, the segmented hash table against its
 per-rank reference, the ``assume_unique`` insert fast path, the doubling
-window pack, fused-mode resolution (flag/env/fallback), and the CLI
+window pack, the fused-mode fallback, and the CLI
 surface (``--fused``, ``--profile``).  The end-to-end bit-identity of
 fused runs is proven by the golden suite (``test_stages_golden.py``) and
 the randomized differential suite (``test_fused_property.py``).
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.memory import ScratchArena
-from repro.core.stages.fused import resolve_fused, supports_fusion
+from repro.core.stages.fused import supports_fusion
 from repro.gpu.hashtable import DeviceHashTable, InsertStats
 from repro.gpu.segmented import SegmentedHashTable
 from repro.hashing.murmur3 import hash_kmers_batch
@@ -555,34 +555,7 @@ def test_window_values_rejects_bad_width():
         window_values(np.zeros(4, dtype=np.uint8), 33)
 
 
-# -- fused-mode resolution ----------------------------------------------------
-
-
-def test_resolve_fused_explicit_flag_wins(monkeypatch):
-    monkeypatch.setenv("REPRO_FUSED", "1")
-    assert resolve_fused(False) is False
-    monkeypatch.setenv("REPRO_FUSED", "0")
-    assert resolve_fused(True) is True
-
-
-@pytest.mark.parametrize("value,expected", [
-    ("1", True), ("on", True), ("TRUE", True), ("auto", True), ("fused", True),
-    ("", False), ("0", False), ("off", False), ("no", False), ("none", False),
-])
-def test_resolve_fused_env_values(monkeypatch, value, expected):
-    monkeypatch.setenv("REPRO_FUSED", value)
-    assert resolve_fused(None) is expected
-
-
-def test_resolve_fused_unset_env_defaults_off(monkeypatch):
-    monkeypatch.delenv("REPRO_FUSED", raising=False)
-    assert resolve_fused(None) is False
-
-
-def test_resolve_fused_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("REPRO_FUSED", "maybe")
-    with pytest.raises(ValueError, match="REPRO_FUSED"):
-        resolve_fused(None)
+# -- fused-mode fallback ------------------------------------------------------
 
 
 def test_supports_fusion_standard_compositions():

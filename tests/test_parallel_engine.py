@@ -278,6 +278,43 @@ class TestProcessPoolMachinery:
         )
         assert_results_identical(seq, par)
 
+    def test_stateful_plugins_fall_back_to_threads(self, reads, caplog, monkeypatch):
+        """Bloom mutates inside count closures: a process request runs on threads."""
+        import logging
+
+        from .golden_cases import summarize_result
+
+        config = PipelineConfig(k=17, mode="supermer")
+        cluster = _cluster(4)
+        seq = run_pipeline(
+            reads, cluster, config, backend="gpu", options=EngineOptions(stages=("bloom",), parallel=1)
+        )
+
+        def forked_map(*args, **kwargs):
+            raise AssertionError("stateful plugins ran on the process substrate")
+
+        thread_maps = []
+        thread_map = ThreadPool.map
+
+        def counted_map(self, *args, **kwargs):
+            thread_maps.append(self.workers)
+            return thread_map(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPool, "map", forked_map)
+        monkeypatch.setattr(ThreadPool, "map", counted_map)
+        with caplog.at_level(logging.INFO, logger="repro.telemetry"):
+            par = run_pipeline(
+                reads,
+                cluster,
+                config,
+                backend="gpu",
+                options=EngineOptions(stages=("bloom",), parallel="process:2"),
+            )
+        fallbacks = [rec.message for rec in caplog.records if "engine.process.fallback" in rec.message]
+        assert len(fallbacks) == 1
+        assert thread_maps and set(thread_maps) == {2}
+        assert summarize_result(par) == summarize_result(seq)
+
     def test_process_span_recorder(self, reads):
         rec = WallClockRecorder()
         p = 6

@@ -490,14 +490,14 @@ class TestSpillCleanupOnFailure:
         assert list(spill_dir.iterdir()) == []  # spool removed despite the raise
 
     def test_staged_spill_raise_removes_spool(self, caplog, genome_reads, tmp_path, monkeypatch):
-        import repro.core.stages.spill as spill_mod
+        import repro.core.stages.scheduler as scheduler_mod
 
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
         # external_merge runs after the run files are written: the spool is
         # at its fullest when the failure lands.
-        monkeypatch.setattr(spill_mod, "external_merge", boom)
+        monkeypatch.setattr(scheduler_mod, "external_merge", boom)
         config = PipelineConfig(k=15, mode="kmer")
         self._assert_cleanup(
             caplog,
@@ -512,13 +512,13 @@ class TestSpillCleanupOnFailure:
         )
 
     def test_fused_spill_raise_removes_spool(self, caplog, genome_reads, tmp_path, monkeypatch):
-        import repro.core.stages.spill as spill_mod
+        import repro.core.stages.fused as fused_mod
 
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
         # The segmented table is built after every round has spooled.
-        monkeypatch.setattr(spill_mod, "SegmentedHashTable", boom)
+        monkeypatch.setattr(fused_mod, "SegmentedHashTable", boom)
         config = PipelineConfig(k=15, mode="kmer")
         self._assert_cleanup(
             caplog,

@@ -9,7 +9,7 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.tracing import trace_events, write_chrome_trace
-from repro.gpu.device import v100
+from repro.machines import v100
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.topology import summit_gpu
 
@@ -110,3 +110,35 @@ class TestAutoRounds:
         )
         assert tight.n_rounds_used >= loose.n_rounds_used
         assert tight.n_rounds_used > 1
+
+
+class TestExchangeSpanNote:
+    """Every strategy and surface notes the same facts on its exchange regions."""
+
+    STRATEGIES = {
+        "staged": {},
+        "fused": {"fused": True},
+        "spill": {"spill": True},
+        "fused-spill": {"fused": True, "spill": True},
+    }
+
+    @pytest.mark.parametrize("surface", ["one-shot", "streamed"])
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_exchange_regions_carry_the_full_note(self, genome_reads, tmp_path, strategy, surface):
+        from repro.core.incremental import DistributedCounter
+
+        kw = dict(self.STRATEGIES[strategy])
+        if kw.pop("spill", False):
+            kw["spill_dir"] = tmp_path
+        opts = EngineOptions(trace=True, **kw)
+        config = PipelineConfig(k=17, mode="supermer", n_rounds=2)
+        if surface == "one-shot":
+            run_pipeline(genome_reads, summit_gpu(1), config, options=opts)
+        else:
+            counter = DistributedCounter(summit_gpu(1), config, options=opts)
+            for _ in range(2):
+                counter.add_reads(genome_reads)
+        regions = [s for s in opts.trace.all_spans() if s.name == "exchange" and s.cat == "stage"]
+        assert len(regions) == 2
+        for region in regions:
+            assert {"label", "traffic_records", "items", "model_seconds", "link_seconds"} <= set(region.meta)
